@@ -4,9 +4,10 @@ Not a paper figure.  This cell builds the *full* virtual deployment at
 the requested scale (``large`` = 5,000 PMs x 2 VMs = 10,000 hosts) and
 pushes one bounded MapReduce wave through it under a hard event budget.
 What it proves is breadth, not depth: every tracker registers with the
-JobTracker, the batched slot-scheduling rounds walk the whole fleet,
-and the calendar queue keeps per-event cost flat while the cluster
-grows two orders of magnitude past the paper's 24-PM testbed.
+JobTracker and the batched slot-scheduling rounds walk the whole fleet,
+two orders of magnitude past the paper's 24-PM testbed.  It does not
+show flat per-event cost -- an event still costs far more at 10,000
+hosts than at tiny scale; docs/scaling.md has the measurements.
 
 The wave is capped (``num_maps``/``num_reducers`` parameters) so the
 cell fits a CI smoke budget: scale here multiplies *hosts*, not input

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -13,6 +14,13 @@ from repro.mapreduce.tracker import TaskTracker
 from repro.sim.engine import Simulator
 from repro.sim.network import NetworkFabric
 from repro.virt.overheads import DEFAULT_OVERHEADS, OverheadModel
+
+
+def _free_slots(kind: TaskKind) -> Callable[[TaskTracker], int]:
+    """The free-slot query of ``kind``, as an unbound method."""
+    if kind is TaskKind.MAP:
+        return TaskTracker.free_map_slots
+    return TaskTracker.free_reduce_slots
 
 
 class JobTracker:
@@ -51,6 +59,9 @@ class JobTracker:
         self.fs = fs
         self.fabric = fabric
         self.trackers = list(trackers)
+        self._ctx_trackers: Dict[int, List[TaskTracker]] = {}  # by id(context)
+        for tracker in self.trackers:
+            self._ctx_trackers.setdefault(id(tracker.context), []).append(tracker)
         self.scheduler = scheduler or FairScheduler()
         self.overheads = overheads
         self.slowstart = slowstart
@@ -80,6 +91,8 @@ class JobTracker:
         self._attempt_ids = itertools.count(1)
         self._callbacks: Dict[int, Callable[[Job], None]] = {}
         self._dispatch_pending = False
+        #: request_dispatch() calls; every slot-freeing transition makes one
+        self._wakeups = 0
         self._policy_skipped = False
         self.speculative_launched = 0
         if speculation:
@@ -243,6 +256,7 @@ class JobTracker:
     # dispatch
     # ------------------------------------------------------------------
     def request_dispatch(self) -> None:
+        self._wakeups += 1
         if self._dispatch_pending:
             return
         self._dispatch_pending = True
@@ -256,20 +270,19 @@ class JobTracker:
         # PM load only grows within a round (each launch bumps it), and
         # runnable lists only shrink (launched tasks are filtered out on
         # the next hit via the cheap ``scheduled`` counter check).  Tasks
-        # that reopen or slots that free up mid-round are picked up by
-        # the next round -- every such transition calls
-        # request_dispatch(), so the drift window is one dispatch delay.
+        # that reopen mid-round wait for the next round, and a slot freed
+        # mid-round keeps its PM's round load -- every such transition
+        # calls request_dispatch(), so the drift window is one delay.
+        # Loads and tracker heaps are built only once a job has work.
         load_by_pm: Dict[int, int] = {}
-        for t in self.trackers:
-            key = id(t.context.pm)
-            load_by_pm[key] = load_by_pm.get(key, 0) + len(t.running)
         runnable: Dict[Tuple[int, TaskKind], List[Task]] = {}
+        heaps: Dict[TaskKind, Tuple[int, list]] = {}
         progress = True
         while progress:
             progress = False
-            if self._assign_one(TaskKind.MAP, load_by_pm, runnable):
+            if self._assign_one(TaskKind.MAP, load_by_pm, runnable, heaps):
                 progress = True
-            if self._assign_one(TaskKind.REDUCE, load_by_pm, runnable):
+            if self._assign_one(TaskKind.REDUCE, load_by_pm, runnable, heaps):
                 progress = True
         if self._policy_skipped:
             # a policy declined every offer it got this round (delay
@@ -285,16 +298,44 @@ class JobTracker:
             return []
         return [t for t in job.reduce_tasks if not t.scheduled]
 
-    def _free_trackers(self, kind: TaskKind) -> List[TaskTracker]:
-        if kind is TaskKind.MAP:
-            return [t for t in self.trackers if t.free_map_slots() > 0]
-        return [t for t in self.trackers if t.free_reduce_slots() > 0]
+    def _select_tracker(
+        self, kind: TaskKind, load_by_pm: Dict[int, int], heaps: Dict
+    ) -> Optional[TaskTracker]:
+        """Free tracker minimising ``(PM load, running, name, index)`` from a
+        lazy per-kind heap: keys only grow in a round, so a live top entry
+        is the minimum; a slot freed mid-round (``_wakeups`` moved) rebuilds."""
+        free_slots = _free_slots(kind)
+        built = heaps.get(kind)
+        if built is None or built[0] != self._wakeups:
+            if not load_by_pm:  # no launch yet: loads as at round start
+                for t in self.trackers:
+                    key = id(t.context.pm)
+                    load_by_pm[key] = load_by_pm.get(key, 0) + len(t.running)
+            built = heaps[kind] = (self._wakeups, [
+                (load_by_pm[id(t.context.pm)], len(t.running), t.name, i, t)
+                for i, t in enumerate(self.trackers)
+                if free_slots(t) > 0
+            ])
+            heapq.heapify(built[1])
+        heap = built[1]
+        while heap:
+            load, running, name, i, tracker = heap[0]
+            if free_slots(tracker) <= 0:
+                heapq.heappop(heap)  # full or dead
+                continue
+            live = (load_by_pm[id(tracker.context.pm)], len(tracker.running))
+            if live != (load, running):
+                heapq.heapreplace(heap, (*live, name, i, tracker))
+                continue
+            return tracker
+        return None
 
     def _assign_one(
         self,
         kind: TaskKind,
-        load_by_pm: Optional[Dict[int, int]] = None,
-        runnable: Optional[Dict[Tuple[int, TaskKind], List[Task]]] = None,
+        load_by_pm: Dict[int, int],
+        runnable: Dict[Tuple[int, TaskKind], List[Task]],
+        heaps: Dict,
     ) -> bool:
         """Assign one task, emulating Hadoop's heartbeat discipline.
 
@@ -305,21 +346,13 @@ class JobTracker:
         the tracker first spreads work across machines instead of
         packing every task onto the few nodes that hold replicas.
 
-        ``load_by_pm``/``runnable`` are the round caches built by
-        ``_dispatch``; when called standalone both are rebuilt fresh.
+        ``load_by_pm``/``runnable``/``heaps`` are the round caches of
+        ``_dispatch``; the tracker is picked once a job has work.
         """
-        free = self._free_trackers(kind)
-        if not free:
-            return False
-        if load_by_pm is None:
-            load_by_pm = {}
-            for t in self.trackers:
-                key = id(t.context.pm)
-                load_by_pm[key] = load_by_pm.get(key, 0) + len(t.running)
-        tracker = min(
-            free,
-            key=lambda t: (load_by_pm.get(id(t.context.pm), 0), len(t.running), t.name),
-        )
+        free_slots = _free_slots(kind)
+        if not any(free_slots(t) > 0 for t in self.trackers):
+            return False  # a full fleet never pays for ordering jobs
+        tracker = None
         scheduler = self.scheduler
         view = None
         if scheduler.policy_aware:
@@ -328,19 +361,16 @@ class JobTracker:
 
             view = ClusterView(self, kind)
         for job in scheduler.order(self.active_jobs, view):
-            if runnable is None:
-                tasks = self._runnable_tasks(job, kind)
-            else:
-                cache_key = (job.job_id, kind)
-                tasks = runnable.get(cache_key)
-                if tasks is None:
-                    tasks = self._runnable_tasks(job, kind)
-                    runnable[cache_key] = tasks
-                elif tasks and any(t.scheduled for t in tasks):
-                    # launched (or synchronously completed) since cached
-                    tasks[:] = [t for t in tasks if not t.scheduled]
+            cache_key = (job.job_id, kind)
+            tasks = runnable.get(cache_key)
+            if tasks is None:
+                tasks = runnable[cache_key] = self._runnable_tasks(job, kind)
+            elif tasks and any(t.scheduled for t in tasks):
+                # launched (or synchronously completed) since cached
+                tasks[:] = [t for t in tasks if not t.scheduled]
             if not tasks:
                 continue
+            tracker = tracker or self._select_tracker(kind, load_by_pm, heaps)
             task = None
             if view is not None:
                 task = scheduler.pick_task(job, tasks, tracker, kind, view)
@@ -352,9 +382,7 @@ class JobTracker:
             if task is None:
                 task = self._pick_task_for(tracker, tasks, kind)
             self._launch(task, tracker)
-            load_by_pm[id(tracker.context.pm)] = (
-                load_by_pm.get(id(tracker.context.pm), 0) + 1
-            )
+            load_by_pm[id(tracker.context.pm)] += 1
             return True
         return False
 
@@ -490,7 +518,7 @@ class JobTracker:
         HDFS block recovery is separate (``HDFS.re_replicate``); the
         caller decides whether to trigger it.
         """
-        dead_trackers = [t for t in self.trackers if t.context is context]
+        dead_trackers = self._ctx_trackers.get(id(context), [])
         if not dead_trackers:
             # storage-only node (split architecture): no tasks or map
             # outputs live here; HDFS recovery is the caller's job
@@ -538,9 +566,7 @@ class JobTracker:
         """A crashed worker node came back: its trackers accept work
         again (fresh, empty -- in-flight state died with the node).
         HDFS re-registration is the caller's job, as with failure."""
-        revived = [
-            t for t in self.trackers if t.context is context and not t.alive
-        ]
+        revived = [t for t in self._ctx_trackers.get(id(context), []) if not t.alive]
         if not revived:
             return
         for tracker in revived:
@@ -630,7 +656,8 @@ class JobTracker:
             return
         mean = sum(durations) / len(durations)
         threshold = self.speculation_factor * mean
-        free = self._free_trackers(kind)
+        free_slots = _free_slots(kind)
+        free = [t for t in self.trackers if free_slots(t) > 0]
         if not free:
             return
         for task in tasks:
@@ -645,8 +672,12 @@ class JobTracker:
                 continue
             others = [t for t in free if t.host != attempt.tracker.host] or free
             tracker = min(others, key=lambda t: (len(t.running), t.name))
+            wakeups = self._wakeups
             self._launch(task, tracker, speculative=True)
-            free = self._free_trackers(kind)
+            if self._wakeups != wakeups:  # a slot came free: rescan
+                free = [t for t in self.trackers if free_slots(t) > 0]
+            elif free_slots(tracker) <= 0:
+                free.remove(tracker)
             if not free:
                 return
 
@@ -655,9 +686,8 @@ class JobTracker:
     # ------------------------------------------------------------------
     def attempts_on_context(self, context) -> List[TaskAttempt]:
         out: List[TaskAttempt] = []
-        for tracker in self.trackers:
-            if tracker.context is context:
-                out.extend(tracker.running)
+        for tracker in self._ctx_trackers.get(id(context), []):
+            out.extend(tracker.running)
         return out
 
     def running_attempts(self) -> List[TaskAttempt]:

@@ -39,7 +39,7 @@ SKIP_JOB = _SkipJob()
 
 
 def running_task_counts(jobs: Sequence["Job"]) -> Dict[int, int]:
-    """Per-job running-attempt counts, computed once per slot round.
+    """Per-job running-attempt counts, computed once per slot offer.
 
     Keyed by ``job_id`` so schedulers can rank on current slot usage
     without re-walking every task list per comparison (the ordering is

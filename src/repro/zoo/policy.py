@@ -49,14 +49,16 @@ CPU_OCCUPANCY_BY_CLASS: Dict[str, float] = {
 class ClusterView:
     """Read-only snapshot helpers over a JobTracker's cluster state.
 
-    Built by the JobTracker once per slot-assignment round and handed to
-    ``policy_aware`` schedulers.  Everything is computed lazily and
-    cached for the round, so cheap policies pay only for what they use.
+    Built by the JobTracker for every slot offer (one per assignment
+    attempt inside a dispatch round, not one per round) and handed to
+    ``policy_aware`` schedulers, so each offer sees the state left by
+    the launches before it.  Everything is computed lazily and cached
+    for that offer, so cheap policies pay only for what they use.
     """
 
     def __init__(self, jt: "JobTracker", kind: "TaskKind") -> None:
         self.jt = jt
-        #: the task kind this round is assigning (MAP or REDUCE)
+        #: the task kind this offer is assigning (MAP or REDUCE)
         self.kind = kind
         self.now = jt.sim.now
         self._running_counts: Optional[Dict[int, int]] = None
@@ -71,7 +73,7 @@ class ClusterView:
         return self.jt.trackers
 
     def total_slots(self, kind: Optional["TaskKind"] = None) -> int:
-        """Configured slots of ``kind`` (default: this round's kind)
+        """Configured slots of ``kind`` (default: this offer's kind)
         across alive trackers."""
         from repro.mapreduce.task import TaskKind
 
@@ -115,7 +117,7 @@ class ClusterView:
     # per-job state
     # ------------------------------------------------------------------
     def running_tasks(self, job: "Job") -> int:
-        """Currently running attempts of ``job`` (cached per round)."""
+        """Currently running attempts of ``job`` (cached per offer)."""
         if self._running_counts is None:
             self._running_counts = running_task_counts(self.jt.active_jobs)
         return self._running_counts.get(job.job_id, 0)
@@ -136,7 +138,7 @@ class ClusterView:
 
     def usage(self, job: "Job") -> Dict[str, float]:
         """Resource vector ``job`` currently holds (running attempts x
-        per-task demand), cached per round."""
+        per-task demand), cached per offer."""
         cached = self._usage.get(job.job_id)
         if cached is not None:
             return cached
@@ -165,7 +167,7 @@ class ClusterView:
 
         Incomplete maps count their input blocks; incomplete reduces
         count their share of the job's total map output.  Purely
-        structural (no timing state), so it is stable within a round.
+        structural (no timing state), so it is stable within an offer.
         """
         maps_mb = sum(
             task.block.size_mb
