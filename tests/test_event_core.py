@@ -1,46 +1,76 @@
-"""Datacenter-scale event core: equivalence proofs.
+"""Event core: invariants of the one queue and the one max-min fill.
 
-Three families of evidence that the fast paths cannot drift from the
-reference implementations:
+Three families of evidence:
 
-- the calendar queue pops in exactly the reference heap's
+- the heap queue fires events in strictly increasing
   ``(time, priority, seq)`` order under adversarial schedules
-  (cancellations, recurrences, ghost keys, mid-run compaction);
-- the vectorized max-min fill is *bitwise* identical to both the
-  indexed fast path and the original per-link reference;
+  (cancellations, recurrences, same-key ties, ghost keys, a split
+  ``run(until)``), never fires a cancelled event, fires every other
+  event exactly once, and gives the same trace with or without forced
+  compaction;
+- the fabric's indexed max-min fill is *bitwise* identical to the
+  dict-based oracle in ``tests/maxmin_oracle.py``;
 - ``Simulator.step``'s single dispatch tail means accounting and
   profiling runs replay the bare run event-for-event.
 """
 
 import random
+from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.network import (
-    _HostLinks,
-    maxmin_fill,
-    maxmin_flow_rates,
-    maxmin_flow_rates_fast,
-)
+from repro.sim.network import _HostLinks, maxmin_fill
+from tests.maxmin_oracle import maxmin_flow_rates
 
 
 # ----------------------------------------------------------------------
-# calendar queue vs reference heap: identical pop order
+# heap queue: order, cancellation and compaction invariants
 # ----------------------------------------------------------------------
-def _run_scenario(queue: str, seed: int):
-    """Drive one randomized schedule on the given backend.
+class _RecordingSimulator(Simulator):
+    """Logs every event it creates and every live event it pops."""
 
-    The RNG is consumed *inside callbacks*, so draws align across
-    backends only if pop order is identical -- any divergence cascades
-    into a loudly different trace rather than a near miss.
+    def __init__(self) -> None:
+        super().__init__()
+        self.created = []
+        self.fired = []
+
+    def schedule(self, delay, callback, priority=0):
+        event = super().schedule(delay, callback, priority)
+        self.created.append(event)
+        return event
+
+    def _schedule_abs(self, time, callback, priority=0):
+        event = super()._schedule_abs(time, callback, priority)
+        self.created.append(event)
+        return event
+
+    def _pop_live(self):
+        event = super()._pop_live()
+        if event is not None:
+            self.fired.append((event.sort_key(), event.cancelled, event))
+        return event
+
+
+def _run_scenario(seed: int, compact: bool):
+    """Drive one randomized schedule; ``compact`` forces extra
+    ``_compact()`` calls mid-run and between the split runs.
+
+    The RNG is consumed *inside callbacks*, so any change in pop order
+    cascades into a loudly different trace rather than a near miss.
     """
     rng = random.Random(seed)
-    sim = Simulator(queue=queue)
+    sim = _RecordingSimulator()
     trace = []
-    live_events = []
+    pending = []
+    #: seqs the scenario cancelled while they were still queued
+    cancelled_queued = set()
+
+    def cancel(event) -> None:
+        if all(fired is not event for _, _, fired in sim.fired):
+            cancelled_queued.add(event.seq)
+        event.cancel()
 
     def make(label: str, depth: int):
         def cb() -> None:
@@ -49,24 +79,25 @@ def _run_scenario(queue: str, seed: int):
             if roll < 0.35 and depth < 4:
                 # schedule more work from within a callback
                 for i in range(rng.randrange(1, 3)):
-                    live_events.append(
+                    pending.append(
                         sim.schedule(
                             rng.uniform(0.0, 7.0),
                             make(f"{label}.{i}", depth + 1),
                             priority=rng.randrange(-2, 3),
                         )
                     )
-            elif roll < 0.55 and live_events:
-                # cancel a random pending event (tombstone/ghost source)
-                live_events.pop(rng.randrange(len(live_events))).cancel()
-            elif roll < 0.60:
+            elif roll < 0.55 and pending:
+                # cancel a random event (tombstone/ghost source); it
+                # may already have fired, which must be a no-op
+                cancel(pending.pop(rng.randrange(len(pending))))
+            elif roll < 0.60 and compact:
                 # mid-run compaction must be invisible to pop order
-                sim._backend.compact()
+                sim._compact()
 
         return cb
 
     for i in range(rng.randrange(5, 25)):
-        live_events.append(
+        pending.append(
             sim.schedule(
                 rng.uniform(0.0, 10.0),
                 make(f"root{i}", 0),
@@ -78,7 +109,12 @@ def _run_scenario(queue: str, seed: int):
         sim.call_every(rng.uniform(0.5, 2.0), make(f"every{i}", 4), until=12.0)
         for i in range(2)
     ]
-    sim.schedule(rng.uniform(2.0, 6.0), lambda: cancels[0]())
+
+    def stop_every0() -> None:
+        trace.append((round(sim.now, 9), "stop-every0"))
+        cancels[0]()
+
+    sim.schedule(rng.uniform(2.0, 6.0), stop_every0)
     # a same-(time, priority) collision: seq must break the tie
     t = rng.uniform(1.0, 9.0)
     for i in range(3):
@@ -86,33 +122,55 @@ def _run_scenario(queue: str, seed: int):
 
     # split the run so run(until)'s raw-head-peek semantics are hit too
     sim.run(until=rng.uniform(2.0, 8.0))
-    sim._backend.compact()
+    if compact:
+        sim._compact()
     sim.run(until=40.0)
-    return trace, sim.now, sim.events_processed, sim.queue_stats()
+    sim.run()  # final drain
+    return sim, trace, cancelled_queued
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
-def test_calendar_queue_matches_reference_heap(seed):
-    heap = _run_scenario("heap", seed)
-    calendar = _run_scenario("calendar", seed)
-    assert calendar[0] == heap[0], "pop order diverged"
-    assert calendar[1] == heap[1], "final clock diverged"
-    assert calendar[2] == heap[2], "events_processed diverged"
-    # both backends must agree the queue fully drained
-    assert heap[3]["live"] == 0
-    assert calendar[3]["live"] == 0
+def test_heap_queue_invariants_under_adversarial_schedule(seed):
+    sim, trace, cancelled_queued = _run_scenario(seed, compact=True)
+    keys = [key for key, _, _ in sim.fired]
+    assert all(a < b for a, b in zip(keys, keys[1:])), "keys not increasing"
+    # no cancelled event ever fires
+    assert not any(was_cancelled for _, was_cancelled, _ in sim.fired)
+    fired = Counter(event.seq for _, _, event in sim.fired)
+    assert not cancelled_queued & set(fired)
+    stop = [label for _, label in trace].index("stop-every0")
+    assert not any(label == "every0" for _, label in trace[stop:])
+    # after the drain, every never-cancelled event fired exactly once
+    for event in sim.created:
+        assert fired[event.seq] <= 1
+        if not event.cancelled:
+            assert fired[event.seq] == 1, event
+    assert sim.pending == 0
+    assert sim.queue_stats()["depth"] == 0
+    # forced compaction is invisible: identical trace without it
+    plain, plain_trace, _ = _run_scenario(seed, compact=False)
+    assert plain_trace == trace
+    assert [key for key, _, _ in plain.fired] == keys
+    assert plain.now == sim.now
+    assert plain.events_processed == sim.events_processed
 
 
 def test_queue_stats_reports_backend():
-    assert Simulator(queue="heap").queue_stats()["backend"] == "heap"
-    stats = Simulator(queue="calendar").queue_stats()
-    assert stats["backend"] == "calendar"
-    assert "buckets" in stats and "bucket_width" in stats
+    sim = Simulator()
+    empty = {"backend": "heap", "depth": 0, "live": 0, "tombstones": 0,
+             "ghost_keys": 0}
+    assert sim.queue_stats() == empty
+    doomed = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    doomed.cancel()
+    assert sim.queue_stats() == dict(empty, depth=2, live=1, tombstones=1)
+    sim._compact()
+    assert sim.queue_stats() == dict(empty, depth=1, live=1, ghost_keys=1)
 
 
 # ----------------------------------------------------------------------
-# vectorized max-min fill: bitwise identical to both references
+# indexed max-min fill: bitwise identical to the oracle
 # ----------------------------------------------------------------------
 class _F:
     __slots__ = ("src", "dst")
@@ -144,57 +202,21 @@ def _random_topology(rng: random.Random):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
-def test_vectorized_fill_bit_identical(seed):
-    from repro.sim import network
-
-    if network._np is None:
-        pytest.skip("numpy not installed; scalar fallback is the only path")
-    flows, links = _random_topology(random.Random(seed))
-    reference = maxmin_flow_rates(flows, links)
-    fast = maxmin_flow_rates_fast(flows, links)
-    vec = network.maxmin_flow_rates_vec(flows, links)
-    # bitwise: the fill feeds completion-event timestamps, so even 1-ulp
-    # drift would change digests between the scalar and numpy paths
-    assert fast == reference
-    assert vec == reference
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=100_000))
 def test_maxmin_fill_dispatcher_matches_reference(seed):
+    """Random topologies with exact capacity ties and degraded NICs.
+
+    Bitwise, not approx: the fill feeds completion-event timestamps, so
+    even a 1-ulp drift would change same-seed digests.
+    """
     flows, links = _random_topology(random.Random(seed))
     assert maxmin_fill(flows, links) == maxmin_flow_rates(flows, links)
-
-
-def test_maxmin_fill_scalar_fallback(monkeypatch):
-    """With numpy absent the dispatcher must stay on the indexed path."""
-    from repro.sim import network
-
-    monkeypatch.setattr(network, "_np", None)
-    flows, links = _random_topology(random.Random(7))
-    assert network.maxmin_fill(flows, links) == maxmin_flow_rates(flows, links)
-
-
-def test_vector_threshold_routes_large_fills():
-    from repro.sim import network
-
-    if network._np is None:
-        pytest.skip("numpy not installed")
-    rng = random.Random(11)
-    hosts = [f"h{i}" for i in range(40)]
-    links = {h: _HostLinks(100.0, 100.0, 2000.0, h) for h in hosts}
-    flows = []
-    while len(flows) < network.VECTOR_MIN_FLOWS + 8:
-        src, dst = rng.sample(hosts, 2)
-        flows.append(_F(src, dst))
-    assert network.maxmin_fill(flows, links) == maxmin_flow_rates(flows, links)
 
 
 # ----------------------------------------------------------------------
 # step(): one dispatch tail, instrumented runs replay the bare run
 # ----------------------------------------------------------------------
 def _instrumented_run(accounting: bool, profiling: bool, stepwise: bool):
-    sim = Simulator(queue="calendar")
+    sim = Simulator()
     if accounting:
         sim.enable_event_accounting()
     if profiling:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.network import NetworkFabric, maxmin_flow_rates
+from repro.sim.network import NetworkFabric, maxmin_fill
+from tests.maxmin_oracle import maxmin_flow_rates
 
 
 def make_fabric(sim, hosts=("a", "b", "c"), cap=100.0):
@@ -117,7 +118,7 @@ def test_bytes_accounting(sim):
 
 
 # ----------------------------------------------------------------------
-# maxmin_flow_rates (pure function)
+# max-min fill: hand-checked cases for the oracle and the shipped fill
 # ----------------------------------------------------------------------
 class _FakeFlow:
     def __init__(self, src, dst):
@@ -129,6 +130,7 @@ class _Links:
     def __init__(self, up, down):
         self.up = up
         self.down = down
+        self.nic_scale = 1.0
 
 
 def test_maxmin_bottleneck_is_shared_link():
@@ -136,6 +138,7 @@ def test_maxmin_bottleneck_is_shared_link():
     links = {"a": _Links(100, 100), "b": _Links(100, 100), "c": _Links(100, 100)}
     rates = maxmin_flow_rates(flows, links)
     assert rates == [pytest.approx(50.0), pytest.approx(50.0)]
+    assert maxmin_fill(flows, links) == rates
 
 
 def test_maxmin_unequal_links():
@@ -145,10 +148,12 @@ def test_maxmin_unequal_links():
     rates = maxmin_flow_rates(flows, links)
     assert rates[0] == pytest.approx(30.0)
     assert rates[1] == pytest.approx(70.0)
+    assert maxmin_fill(flows, links) == rates
 
 
 def test_maxmin_no_flows():
     assert maxmin_flow_rates([], {}) == []
+    assert maxmin_fill([], {}) == []
 
 
 # ----------------------------------------------------------------------
