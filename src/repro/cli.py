@@ -674,6 +674,17 @@ def cmd_chaos(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for ``bench --tolerance``: a fraction in [0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1)")
+    return value
+
+
 def cmd_bench(args) -> int:
     import json
 
@@ -686,6 +697,7 @@ def cmd_bench(args) -> int:
         run_bench,
         write_bench_json,
     )
+    from repro.obs.prof import write_collapsed, write_speedscope
 
     cells = args.cells or list(DEFAULT_CELLS)
     report = run_bench(
@@ -694,12 +706,21 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         progress=lambda line: print(f"  {line}"),
         repeats=args.repeats,
+        trace_malloc=args.trace_malloc,
     )
     print()
     print(format_bench(report))
     if args.out:
         write_bench_json(args.out, report)
         print(f"wrote {args.out}")
+    if args.flame:
+        lines = write_collapsed(args.flame, report)
+        print(f"wrote {args.flame} ({lines} stacks; feed to flamegraph.pl "
+              f"or inferno)")
+    if args.speedscope:
+        samples = write_speedscope(args.speedscope, report)
+        print(f"wrote {args.speedscope} ({samples} samples; open at "
+              f"https://speedscope.app)")
     if args.trajectory_dir and args.trajectory_dir != "none":
         archived = archive_report(report, args.trajectory_dir)
         print(f"archived {archived}")
@@ -716,59 +737,6 @@ def cmd_bench(args) -> int:
                 print(f"FAIL: {failure}", file=sys.stderr)
             return 1
         print(f"bench OK vs {args.compare} (tolerance {args.tolerance:.0%})")
-    return 0
-
-
-def cmd_prof(args) -> int:
-    import json
-
-    from repro.obs.prof import (
-        compare_profiles,
-        format_profile,
-        format_profile_compare,
-        run_profile,
-        write_collapsed,
-        write_profile_json,
-        write_speedscope,
-    )
-
-    report = run_profile(
-        args.cell,
-        scale=args.scale,
-        seed=args.seed,
-        granularity=args.granularity,
-        trace_malloc=args.trace_malloc,
-        tracing=args.tracing,
-    )
-    print(format_profile(report))
-    if args.out:
-        write_profile_json(args.out, report)
-        print(f"wrote {args.out}")
-    if args.flame:
-        lines = write_collapsed(args.flame, report)
-        print(f"wrote {args.flame} ({lines} stacks; feed to flamegraph.pl "
-              f"or inferno)")
-    if args.speedscope:
-        samples = write_speedscope(args.speedscope, report)
-        print(f"wrote {args.speedscope} ({samples} samples; open at "
-              f"https://speedscope.app)")
-    if not report["digest_consistent"]:
-        print("FAIL: profiling perturbed the simulation result",
-              file=sys.stderr)
-        return 1
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        print()
-        print(format_profile_compare(baseline, report))
-        failures, notes = compare_profiles(baseline, report, args.tolerance)
-        for note in notes:
-            print(f"note: {note}")
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"prof OK vs {args.compare} (tolerance {args.tolerance:.0%})")
     return 0
 
 
@@ -1097,13 +1065,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="benchmark simulator throughput and blame; CI regression gate",
-        description="Run sweep cells at a pinned scale/seed, measuring "
-        "wall-clock simulator throughput (events/sec, spans/sec, peak "
-        "RSS, per-subsystem event counts) and the critical-path blame "
-        "breakdown, writing a repro.bench/1 report.  With --compare, "
-        "exit non-zero if any cell's events/sec regressed beyond the "
-        "tolerance vs the baseline report.",
+        help="benchmark and profile the simulator; CI regression gate",
+        description="Run sweep cells at a pinned scale/seed: bare timed "
+        "passes (events/sec, peak RSS), one profiled pass "
+        "(per-subsystem event counts and self/cumulative wall time, "
+        "engine gauges, flamegraph stacks) and one traced pass "
+        "(spans/sec, critical-path blame), writing a repro.bench/1 "
+        "report.  With --compare, exit non-zero if any cell's "
+        "events/sec regressed beyond the tolerance vs the baseline "
+        "report or an observed pass perturbed a result.",
     )
     bench.add_argument("cells", nargs="*",
                        help="cells to benchmark (default: headline fig01 "
@@ -1112,18 +1082,27 @@ def build_parser() -> argparse.ArgumentParser:
                        default="tiny")
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--repeats", type=int, default=2,
-                       help="perf-pass executions per cell; the fastest "
+                       help="bare timed passes per cell; the fastest "
                             "wall time counts (noise filter)")
     bench.add_argument("--out", default="BENCH_headline.json",
                        help="bench report path (empty string to skip)")
     bench.add_argument("--compare", metavar="BASELINE", default=None,
                        help="baseline repro.bench report to gate against")
-    bench.add_argument("--tolerance", type=float, default=0.2,
-                       help="allowed fractional events/sec regression")
+    bench.add_argument("--tolerance", type=_tolerance, default=0.2,
+                       help="allowed fractional events/sec regression, "
+                       "in [0, 1)")
     bench.add_argument("--trajectory-dir", default="BENCH_trajectory",
                        metavar="DIR",
                        help="perf-history directory each run is archived "
                        "to ('none' to skip)")
+    bench.add_argument("--trace-malloc", action="store_true",
+                       help="sample tracemalloc memory into phase buckets "
+                       "of the profiled pass (slows it, never its result)")
+    bench.add_argument("--flame", default="", metavar="PATH",
+                       help="write a collapsed-stack flamegraph file, "
+                       "stacks rooted at the cell name")
+    bench.add_argument("--speedscope", default="", metavar="PATH",
+                       help="write a speedscope JSON profile")
     bench.set_defaults(func=cmd_bench)
 
     live = sub.add_parser(
@@ -1214,47 +1193,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--repeats", type=int, default=1)
     prof.add_argument("--estimate", type=float, nargs="*", default=[1.5])
     prof.set_defaults(func=cmd_profile)
-
-    wprof = sub.add_parser(
-        "prof",
-        help="wall-time profile of the simulator itself (flamegraphs)",
-        description="Run one sweep cell twice -- unprofiled for the "
-        "reference digest, then under the repro.obs.prof wall-time "
-        "profiler -- and report per-subsystem/callback self and "
-        "cumulative time, engine-health gauges and (optionally) "
-        "phase-bucketed tracemalloc memory, writing a repro.prof/1 "
-        "report plus collapsed-stack and speedscope flamegraphs.  With "
-        "--compare, exit non-zero on an events/sec regression vs a "
-        "baseline profile (a dossier like `repro bench --compare`).",
-    )
-    wprof.add_argument("--cell", default="fabric",
-                       help="sweep cell to profile (default: fabric, the "
-                       "shuffle-heavy microbench; aliases like "
-                       "fabric_micro work)")
-    wprof.add_argument("--scale", choices=("tiny", "small", "medium", "paper"),
-                       default="tiny")
-    wprof.add_argument("--seed", type=int, default=1)
-    wprof.add_argument("--granularity", choices=("coarse", "full"),
-                       default="full",
-                       help="coarse = per-module roots only; full adds "
-                       "per-callback frames and flamegraph depth")
-    wprof.add_argument("--trace-malloc", action="store_true",
-                       help="sample tracemalloc memory into phase buckets "
-                       "(slows the profiled pass, never its result)")
-    wprof.add_argument("--tracing", action="store_true",
-                       help="stack span tracing on top of profiling "
-                       "(the digest check still must hold)")
-    wprof.add_argument("--out", default="PROF_report.json",
-                       help="profile report path ('' disables)")
-    wprof.add_argument("--flame", default="", metavar="PATH",
-                       help="write a collapsed-stack flamegraph file")
-    wprof.add_argument("--speedscope", default="", metavar="PATH",
-                       help="write a speedscope JSON profile")
-    wprof.add_argument("--compare", metavar="BASELINE", default=None,
-                       help="baseline repro.prof report to gate against")
-    wprof.add_argument("--tolerance", type=float, default=0.25,
-                       help="allowed fractional events/sec regression")
-    wprof.set_defaults(func=cmd_prof)
 
     return parser
 

@@ -9,7 +9,9 @@ fault surfaces, and a batch of doomed flows per wave exercises
 ``cancel_flow``.  This is the cell the ``repro bench`` regression gate
 watches for the fabric hot path: nearly every simulation event lands in
 ``repro.sim.network``, so events/sec here is a direct measure of the
-flow rebalance + advance kernels.
+flow rebalance + advance kernels, and the cell's profile (``repro bench
+fabric --flame prof.flame``) splits their wall time between the
+``net.maxmin_fill`` frame and the callbacks around it.
 
 Pure function of ``(scale, seed, params)``: all piece sizes are drawn
 up front from a labelled RNG stream and every control action (degrade,

@@ -15,10 +15,12 @@ Call :meth:`Observability.enable_tracing` (or pass ``--trace`` to
 ``repro run``) to record spans; :mod:`repro.obs.export` then renders
 Chrome trace-event JSON, a JSONL structured log, and a text summary.
 :mod:`repro.obs.critpath` turns a traced run into a per-job
-critical-path blame breakdown, :mod:`repro.obs.bench` benchmarks
-the simulator itself (``repro bench``) with a regression gate, and
-:mod:`repro.obs.prof` attributes wall-clock self/cumulative time per
-subsystem and callback with flamegraph export (``repro prof``).
+critical-path blame breakdown, :mod:`repro.obs.prof` attributes
+wall-clock self/cumulative time and event counts per subsystem and
+callback with flamegraph export, and :mod:`repro.obs.bench` measures
+the simulator itself (``repro bench``): bare timed passes, one
+profiled and one traced pass per cell, one report and one regression
+gate.
 
 Instrumentation only *records* -- it never draws randomness or
 schedules events -- so identical seeds produce byte-identical

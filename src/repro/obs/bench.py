@@ -1,19 +1,27 @@
-"""Continuous simulator benchmarking (``repro bench``).
+"""Simulator self-measurement (``repro bench``).
 
-Treats the simulator's own throughput as a first-class metric: each
-benchmarked cell (a :mod:`repro.sweep` figure function) runs in two
-passes --
+Treats the simulator's own throughput as a first-class metric.  Each
+benchmarked cell (a :mod:`repro.sweep` figure function) runs three
+kinds of pass, each under a :class:`~repro.obs.capture.SimCapture`:
 
-1. an *untraced perf pass* under a :class:`~repro.obs.capture.SimCapture`
-   with event accounting, measuring wall-clock time, events processed,
-   events/sec and per-subsystem event counts (best-of-``repeats``
-   executions, so machine noise cannot masquerade as a regression);
-2. a *traced blame pass* with tracing forced on, collecting spans and
-   the :mod:`repro.obs.critpath` blame breakdown.
+1. ``repeats`` *bare* timed passes with nothing attached: wall-clock
+   time (the fastest repetition counts, so machine noise cannot
+   masquerade as a regression), events processed and events/sec.
+   Every repetition must produce the same result digest;
+2. one *profiled* pass under a :class:`~repro.obs.prof.Profiler`
+   (optionally with ``tracemalloc`` sampling): per-subsystem event
+   counts and self/cumulative wall time, engine-health gauges and the
+   flamegraph stacks.  It is never timed;
+3. one *traced* pass with span tracing forced on: span counts and the
+   :mod:`repro.obs.critpath` blame breakdown.
 
-The two passes double as a determinism check: the sha256 digest of the
-cell's canonical result must match between them (tracing must never
-perturb the simulation), reported per cell as ``tracing_consistent``.
+The profiled and traced passes stay separate: span recording runs
+inside the callbacks the profiler times, so stacking tracing on the
+profiled pass would inflate its wall time and skew the per-subsystem
+self-shares.  Both observed passes double as determinism checks -- each
+must reproduce the bare result digest (``profiling_consistent``,
+``tracing_consistent``), proof that observation never perturbs the
+simulation.
 
 ``run_bench`` writes one report (schema ``repro.bench/1``)::
 
@@ -27,6 +35,7 @@ perturb the simulation), reported per cell as ``tracing_consistent``.
           "simulators": N, "event_counts": {"repro.sim.network": N, ...},
           "wall_traced_s": ..., "spans": N, "spans_per_s": ...,
           "result_digest": "sha256...", "tracing_consistent": true,
+          "profiling_consistent": true, "profile": {...},
           "jobs": N, "blame_s": {...}, "blame_pct": {...}
         }, ...
       },
@@ -34,11 +43,13 @@ perturb the simulation), reported per cell as ``tracing_consistent``.
                  "peak_rss_kb"}
     }
 
-``compare_reports`` is the CI regression gate: against a committed
+``profile`` is :meth:`Profiler.snapshot` of the profiled pass.
+``compare_reports`` is the one regression gate: against a committed
 baseline it fails when any cell's events/sec drops by more than the
-tolerance (default 20%) or tracing perturbed a result; result-digest
-changes are surfaced as notes (simulation outputs legitimately change
-across PRs -- the gate watches *speed*, the tests watch *correctness*).
+tolerance (default 20%) or an observed pass perturbed a result;
+result-digest changes and self-share shifts are surfaced as notes
+(simulation outputs legitimately change across PRs -- the gate watches
+*speed*, the tests watch *correctness*).
 """
 
 from __future__ import annotations
@@ -47,12 +58,17 @@ import hashlib
 import json
 import platform
 import time
+import tracemalloc
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro.obs.capture import SimCapture
+from repro.obs.prof import Profiler
 
 REPORT_SCHEMA = "repro.bench/1"
+
+#: a subsystem self-share move (percentage points) worth a gate note
+SHARE_SHIFT_PP = 5.0
 
 #: cells benchmarked by default: the headline claims plus one cell per
 #: subsystem of interest (virt overheads, deployment geometry, the
@@ -84,15 +100,21 @@ def result_digest(result: object) -> str:
 
 
 def run_cell(
-    figure: str, scale: str = "tiny", seed: int = 1, repeats: int = 2
+    figure: str,
+    scale: str = "tiny",
+    seed: int = 1,
+    repeats: int = 2,
+    trace_malloc: bool = False,
 ) -> dict:
-    """Benchmark one sweep cell: perf pass + traced blame pass.
+    """Benchmark one sweep cell: bare, profiled and traced passes.
 
-    The perf pass runs ``repeats`` times and keeps the *fastest* wall
+    The bare pass runs ``repeats`` times and keeps the *fastest* wall
     time -- the usual best-of-N discipline that filters out scheduler
     noise from a shared machine, making the regression gate far less
     flaky.  Every repetition must produce the same result digest (the
     cells are pure functions of seed), which is asserted.
+    ``trace_malloc`` adds ``tracemalloc`` memory phases to the
+    profiled pass.
     """
     from repro.experiments.common import resolve_scale
     from repro.sweep.cells import load, resolve
@@ -104,7 +126,7 @@ def run_cell(
     wall_s = float("inf")
     digest = None
     for _ in range(max(1, repeats)):
-        with SimCapture(accounting=True) as perf:
+        with SimCapture() as bare:
             started = time.perf_counter()
             result = fn(scale_obj, seed)
             wall_s = min(wall_s, time.perf_counter() - started)
@@ -112,10 +134,22 @@ def run_cell(
         if digest is not None and rep_digest != digest:
             raise AssertionError(
                 f"cell {figure} is not a pure function of its seed: "
-                "result digest changed between perf repetitions"
+                "result digest changed between bare repetitions"
             )
         digest = rep_digest
-    events = perf.total_events()
+    events = bare.total_events()
+
+    prof = Profiler(trace_memory=trace_malloc)
+    started_tracemalloc = trace_malloc and not tracemalloc.is_tracing()
+    if started_tracemalloc:
+        tracemalloc.start()
+    try:
+        with SimCapture(profiler=prof):
+            result_profiled = fn(scale_obj, seed)
+    finally:
+        if started_tracemalloc:
+            tracemalloc.stop()
+    profile = prof.snapshot()
 
     with SimCapture(tracing=True) as traced:
         started = time.perf_counter()
@@ -129,13 +163,19 @@ def run_cell(
         "wall_s": wall_s,
         "events": events,
         "events_per_s": events / wall_s if wall_s > 0 else 0.0,
-        "simulators": len(perf.simulators),
-        "event_counts": perf.combined_event_counts(),
+        "simulators": len(bare.simulators),
+        "event_counts": {
+            name: sub["events"]
+            for name, sub in profile["subsystems"].items()
+            if sub["events"]
+        },
         "wall_traced_s": wall_traced_s,
         "spans": spans,
         "spans_per_s": spans / wall_traced_s if wall_traced_s > 0 else 0.0,
         "result_digest": digest,
         "tracing_consistent": result_digest(result_traced) == digest,
+        "profiling_consistent": result_digest(result_profiled) == digest,
+        "profile": profile,
         "jobs": blame["total"]["jobs"],
         "blame_s": blame["total"]["blame_s"],
         "blame_pct": blame["total"]["blame_pct"],
@@ -148,12 +188,13 @@ def run_bench(
     seed: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     repeats: int = 2,
+    trace_malloc: bool = False,
 ) -> dict:
     """Benchmark ``cells`` and return the ``repro.bench/1`` report."""
     started = time.perf_counter()
     out: Dict[str, dict] = {}
     for figure in cells:
-        cell = run_cell(figure, scale, seed, repeats=repeats)
+        cell = run_cell(figure, scale, seed, repeats, trace_malloc)
         out[cell["figure"]] = cell
         if progress is not None:
             progress(
@@ -197,8 +238,12 @@ def compare_reports(
     """Compare a bench report against a baseline.
 
     Returns ``(failures, notes)``.  Failures (events/sec regression
-    beyond ``tolerance``, tracing perturbing a result) should fail CI;
-    notes (digest changes, cell set drift) are informational.
+    beyond ``tolerance``, tracing or profiling perturbing a result)
+    should fail CI; notes (digest changes, event-count and cell set
+    drift, per-subsystem self-share shifts of ``SHARE_SHIFT_PP`` or
+    more when both cells carry a ``profile``) are informational --
+    the wall-time mix legitimately moves as code changes, the note
+    makes the move visible instead of judging it.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError("tolerance must be in [0, 1)")
@@ -221,7 +266,12 @@ def compare_reports(
         if not cur.get("tracing_consistent", True):
             failures.append(
                 f"{name}: tracing perturbed the simulation result "
-                "(digest mismatch between perf and blame passes)"
+                "(digest mismatch between bare and traced passes)"
+            )
+        if not cur.get("profiling_consistent", True):
+            failures.append(
+                f"{name}: profiling perturbed the simulation result "
+                "(digest mismatch between bare and profiled passes)"
             )
         if cur.get("result_digest") != base.get("result_digest"):
             notes.append(
@@ -232,9 +282,28 @@ def compare_reports(
             notes.append(
                 f"{name}: events {base['events']} -> {cur['events']}"
             )
+        if "profile" in base and "profile" in cur:
+            notes.extend(_share_shift_notes(
+                name, base["profile"]["subsystems"],
+                cur["profile"]["subsystems"],
+            ))
     for name in sorted(set(cur_cells) - set(base_cells)):
         notes.append(f"{name}: new cell, not in baseline")
     return failures, notes
+
+
+def _share_shift_notes(cell: str, base: dict, cur: dict) -> List[str]:
+    notes = []
+    for name in sorted(set(base) | set(cur)):
+        base_pct = base.get(name, {}).get("self_pct", 0.0)
+        cur_pct = cur.get(name, {}).get("self_pct", 0.0)
+        shift = cur_pct - base_pct
+        if abs(shift) >= SHARE_SHIFT_PP:
+            notes.append(
+                f"{cell}: {name} self-time share shifted "
+                f"{base_pct:.1f}% -> {cur_pct:.1f}% ({shift:+.1f}pp)"
+            )
+    return notes
 
 
 def format_compare_table(baseline: dict, current: dict) -> str:
@@ -344,6 +413,13 @@ def format_bench(report: dict) -> str:
         top_blame = max(
             cell["blame_s"].items(), key=lambda kv: kv[1]
         )[0] if any(cell["blame_s"].values()) else "-"
+        subsystems = cell["profile"]["subsystems"]
+        top_self = "-"
+        if subsystems:
+            top, sub = max(
+                subsystems.items(), key=lambda kv: kv[1]["self_pct"]
+            )
+            top_self = f"{top} {sub['self_pct']:.0f}%"
         rows.append(
             [
                 name,
@@ -353,6 +429,8 @@ def format_bench(report: dict) -> str:
                 cell["spans"],
                 cell["jobs"],
                 "ok" if cell["tracing_consistent"] else "PERTURBED",
+                "ok" if cell["profiling_consistent"] else "PERTURBED",
+                top_self,
                 top_blame,
             ]
         )
@@ -365,7 +443,7 @@ def format_bench(report: dict) -> str:
     )
     return format_table(
         ["cell", "wall_s", "events", "events/s", "spans", "jobs",
-         "traced", "top_blame"],
+         "traced", "profiled", "top_self", "top_blame"],
         rows,
         title=title,
     )

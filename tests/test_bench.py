@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.obs.bench import (
 )
 from repro.obs.capture import SimCapture, active_sim_capture
 from repro.obs.critpath import CATEGORIES
+from repro.obs.prof import Profiler
 from repro.sim.engine import Simulator
 from repro.workloads.specs import make_job
 
@@ -33,7 +35,7 @@ def _tiny_job(seed=4):
 
 
 # ----------------------------------------------------------------------
-# SimCapture + engine event accounting
+# SimCapture + the profiler seam
 # ----------------------------------------------------------------------
 def test_sim_capture_collects_and_nests():
     assert active_sim_capture() is None
@@ -56,19 +58,17 @@ def test_sim_capture_forces_tracing_and_counts_spans():
     assert capture.total_events() == sim.events_processed > 0
 
 
-def test_event_accounting_attributes_modules():
-    with SimCapture(accounting=True) as capture:
+def test_profiler_attributes_events_to_modules():
+    profiler = Profiler()
+    with SimCapture(profiler=profiler) as capture:
         sim, _job = _tiny_job()
-    counts = capture.combined_event_counts()
-    assert counts, "accounting should record per-module event counts"
-    assert sum(counts.values()) == sim.events_processed
-    assert any(module.startswith("repro.") for module in counts)
-
-
-def test_event_accounting_off_by_default():
-    sim, _job = _tiny_job()
-    assert sim.event_counts == {}
-    assert sim.events_processed > 0
+    assert capture.simulators == [sim]
+    subsystems = profiler.subsystem_table()
+    assert subsystems, "the profiler should record per-module events"
+    assert sum(s["events"] for s in subsystems.values()) == (
+        sim.events_processed
+    )
+    assert any(module.startswith("repro.") for module in subsystems)
 
 
 def test_sim_capture_combined_blame_ties_to_makespan():
@@ -90,9 +90,23 @@ def test_run_cell_profiles_and_blames_fig10():
     assert cell["events"] > 0 and cell["events_per_s"] > 0
     assert cell["spans"] > 0 and cell["jobs"] >= 1
     assert cell["tracing_consistent"] is True
+    assert cell["profiling_consistent"] is True
     assert set(cell["blame_s"]) == set(CATEGORIES)
     assert cell["event_counts"]
+    assert sum(cell["event_counts"].values()) == cell["events"]
+    assert cell["profile"]["events"] == cell["events"]
     assert cell["simulators"] >= 1
+
+
+@pytest.mark.parametrize("figure", ["fig10", "fabric"])
+def test_run_cell_matches_committed_baseline(figure):
+    """The digest contract: same seed, same work, same result as the
+    committed ``BENCH_headline.json`` -- exactly."""
+    baseline_path = Path(__file__).resolve().parents[1] / "BENCH_headline.json"
+    baseline = json.loads(baseline_path.read_text())["cells"][figure]
+    cell = run_cell(figure, scale="tiny", seed=1)
+    for key in ("events", "event_counts", "result_digest"):
+        assert cell[key] == baseline[key], key
 
 
 def test_run_bench_report_shape(tmp_path):
@@ -124,7 +138,8 @@ def test_result_digest_is_order_insensitive():
 # ----------------------------------------------------------------------
 # the regression gate
 # ----------------------------------------------------------------------
-def _fake_report(events_per_s=1000.0, digest="d0", consistent=True):
+def _fake_report(events_per_s=1000.0, digest="d0", consistent=True,
+                 profiled=True):
     return {
         "cells": {
             "fig10": {
@@ -132,9 +147,17 @@ def _fake_report(events_per_s=1000.0, digest="d0", consistent=True):
                 "events_per_s": events_per_s,
                 "result_digest": digest,
                 "tracing_consistent": consistent,
+                "profiling_consistent": profiled,
             }
         }
     }
+
+
+def _with_shares(report, **self_pct):
+    report["cells"]["fig10"]["profile"] = {"subsystems": {
+        name: {"self_pct": pct} for name, pct in self_pct.items()
+    }}
+    return report
 
 
 def test_compare_reports_passes_identical_runs():
@@ -160,6 +183,27 @@ def test_compare_reports_fails_on_tracing_perturbation():
     current = _fake_report(consistent=False)
     failures, _notes = compare_reports(baseline, current, 0.2)
     assert any("perturbed" in f for f in failures)
+
+
+def test_compare_reports_fails_on_profiling_perturbation():
+    failures, _notes = compare_reports(
+        _fake_report(), _fake_report(profiled=False), 0.2
+    )
+    assert len(failures) == 1 and "profiling perturbed" in failures[0]
+
+
+def test_compare_reports_notes_self_share_shift():
+    baseline = _with_shares(_fake_report(), pool=40.0, net=10.0, jt=20.0)
+    current = _with_shares(_fake_report(), pool=34.0, net=14.9, jt=21.0)
+    failures, notes = compare_reports(baseline, current, 0.2)
+    assert failures == []
+    # pool moved 6pp (noted); net 4.9pp and jt 1pp stay quiet
+    assert notes == [
+        "fig10: pool self-time share shifted 40.0% -> 34.0% (-6.0pp)"
+    ]
+    # a baseline without profiles (older reports) gets no share notes
+    failures, notes = compare_reports(_fake_report(), current, 0.2)
+    assert failures == [] and notes == []
 
 
 def test_compare_reports_notes_digest_and_cell_drift():
@@ -256,3 +300,19 @@ def test_cli_bench_compare_gate(tmp_path, capsys):
                "--compare", str(baseline)])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().err
+
+
+def test_cli_bench_rejects_bad_tolerance(monkeypatch, capsys):
+    import repro.obs.bench
+    from repro.cli import main
+
+    def no_cells(*_args, **_kwargs):
+        raise AssertionError("a bad --tolerance must stop before any cell")
+
+    monkeypatch.setattr(repro.obs.bench, "run_bench", no_cells)
+    for bad in ("1.5", "-0.1", "1", "fast"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "fig10", "--out", "", "--trajectory-dir", "none",
+                  "--compare", "BENCH_headline.json", "--tolerance", bad])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err

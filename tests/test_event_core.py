@@ -10,8 +10,8 @@ Three families of evidence:
   compaction;
 - the fabric's indexed max-min fill is *bitwise* identical to the
   dict-based oracle in ``tests/maxmin_oracle.py``;
-- ``Simulator.step``'s single dispatch tail means accounting and
-  profiling runs replay the bare run event-for-event.
+- ``Simulator.step``'s single dispatch tail means profiled runs
+  replay the bare run event-for-event.
 """
 
 import random
@@ -215,10 +215,8 @@ def test_maxmin_fill_dispatcher_matches_reference(seed):
 # ----------------------------------------------------------------------
 # step(): one dispatch tail, instrumented runs replay the bare run
 # ----------------------------------------------------------------------
-def _instrumented_run(accounting: bool, profiling: bool, stepwise: bool):
+def _instrumented_run(profiling: bool, stepwise: bool):
     sim = Simulator()
-    if accounting:
-        sim.enable_event_accounting()
     if profiling:
         from repro.obs.prof import Profiler
 
@@ -245,15 +243,14 @@ def _instrumented_run(accounting: bool, profiling: bool, stepwise: bool):
 
 
 def test_step_dispatch_tail_identical_across_instrumentation():
-    """Regression for the duplicated step() dispatch tail: accounting
-    and profiling variants must process the identical event sequence
-    with identical ``events_processed`` -- via step() and run() both."""
-    baseline = _instrumented_run(accounting=False, profiling=False, stepwise=False)
-    for accounting in (False, True):
-        for profiling in (False, True):
-            for stepwise in (False, True):
-                got = _instrumented_run(accounting, profiling, stepwise)
-                assert got == baseline, (
-                    f"dispatch drift with accounting={accounting} "
-                    f"profiling={profiling} stepwise={stepwise}"
-                )
+    """Regression for the duplicated step() dispatch tail: profiled
+    variants must process the identical event sequence with identical
+    ``events_processed`` -- via step() and run() both."""
+    baseline = _instrumented_run(profiling=False, stepwise=False)
+    for profiling in (False, True):
+        for stepwise in (False, True):
+            got = _instrumented_run(profiling, stepwise)
+            assert got == baseline, (
+                f"dispatch drift with profiling={profiling} "
+                f"stepwise={stepwise}"
+            )

@@ -5,13 +5,11 @@ import tracemalloc
 
 import pytest
 
-from repro.obs.bench import result_digest
+from repro.obs.bench import result_digest, run_cell
 from repro.obs.capture import SimCapture
 from repro.obs.prof import (
     Profiler,
     collapsed_stacks,
-    compare_profiles,
-    run_profile,
     speedscope_doc,
     validate_speedscope,
     write_speedscope,
@@ -37,7 +35,7 @@ class FakeClock:
 # ----------------------------------------------------------------------
 def test_self_and_cumulative_split_with_nested_frames():
     clock = FakeClock()
-    prof = Profiler(granularity="full", clock=clock)
+    prof = Profiler(clock=clock)
     prof.begin_event("repro.sim.network", "NetworkFabric._tick")
     clock.advance(1.0)  # callback's own work before the fill
     prof.push("net.maxmin_fill", subsystem="repro.sim.network")
@@ -87,17 +85,6 @@ def test_frames_outside_dispatch_count_as_outside_wall():
     assert prof.attributed_wall_s == pytest.approx(2.0)
 
 
-def test_coarse_granularity_keys_roots_by_module():
-    clock = FakeClock()
-    prof = Profiler(granularity="coarse", clock=clock)
-    prof.begin_event("repro.sim.network", "NetworkFabric._tick")
-    clock.advance(1.0)
-    prof.end_event()
-    snap = prof.snapshot()
-    assert snap["callbacks"] == []  # per-callback table is full-only
-    assert [e["stack"] for e in snap["stacks"]] == [["repro.sim.network"]]
-
-
 def test_gauges_track_n_min_max_last():
     prof = Profiler()
     for value in (5.0, 1.0, 3.0):
@@ -107,8 +94,6 @@ def test_gauges_track_n_min_max_last():
 
 
 def test_profiler_rejects_bad_config():
-    with pytest.raises(ValueError):
-        Profiler(granularity="verbose")
     with pytest.raises(ValueError):
         Profiler(gauge_sample_every=0)
 
@@ -156,29 +141,6 @@ def test_engine_profiles_events_and_samples_gauges():
     assert prof.events == 3  # detached: no further attribution
 
 
-def test_event_accounting_disable_and_reset():
-    sim = Simulator(seed=1)
-    sim.enable_event_accounting()
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    first = sim.event_counts
-    assert sum(first.values()) == 1
-    # reset zeroes the counts but keeps accounting on: a second pass
-    # on the same simulator must not double-count the first
-    sim.reset_event_accounting()
-    assert sim.event_counts == {}
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert sum(sim.event_counts.values()) == 1
-    sim.disable_event_accounting()
-    assert sim.event_counts == {}
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert sim.event_counts == {}  # off: the fast path, no counting
-    sim.reset_event_accounting()  # no-op while disabled
-    assert sim.event_counts == {}
-
-
 def test_compaction_is_attributed_when_profiled():
     prof = Profiler()
     sim = Simulator(seed=5)
@@ -204,21 +166,15 @@ def _run_cell_with(figure, seed, mode):
     if mode == "none":
         with SimCapture():
             return result_digest(fn(scale, seed))
-    profiler = Profiler(
-        granularity="coarse" if mode == "coarse" else "full",
-        gauge_sample_every=64,
-        trace_memory=(mode == "everything"),
-    )
-    tracing = accounting = mode == "everything"
-    if mode == "everything" and not tracemalloc.is_tracing():
+    everything = mode == "everything"
+    profiler = Profiler(gauge_sample_every=16, trace_memory=everything)
+    if everything and not tracemalloc.is_tracing():
         tracemalloc.start()
     try:
-        with SimCapture(
-            tracing=tracing, accounting=accounting, profiler=profiler
-        ):
+        with SimCapture(tracing=everything, profiler=profiler):
             result = fn(scale, seed)
     finally:
-        if mode == "everything":
+        if everything:
             tracemalloc.stop()
     assert profiler.events > 0
     return result_digest(result)
@@ -228,45 +184,46 @@ def _run_cell_with(figure, seed, mode):
 def test_profiling_never_perturbs_digests(figure):
     digests = {
         mode: _run_cell_with(figure, seed=1, mode=mode)
-        for mode in ("none", "coarse", "full", "everything")
+        for mode in ("none", "profiled", "everything")
     }
     assert len(set(digests.values())) == 1, digests
 
 
 # ----------------------------------------------------------------------
-# run_profile + the ProfileReport contract
+# a bench cell's profile: shape and the tiling contract
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def fabric_profile():
-    return run_profile(
-        "fabric_micro", scale="tiny", seed=1,
-        granularity="full", trace_malloc=True,
-    )
+def fabric_cell():
+    return run_cell("fabric_micro", trace_malloc=True)
 
 
-def test_run_profile_report_shape(fabric_profile):
-    report = fabric_profile
-    assert report["schema"] == "repro.prof/1"
-    assert report["cell"] == "fabric"  # alias resolved
-    assert report["digest_consistent"]
-    assert report["events"] > 0 and report["events_per_s"] > 0
-    assert report["simulators"] == 1
+def _report(cell):
+    """A one-cell bench report around ``cell``, the exporters' input."""
+    return {"cells": {cell["figure"]: cell}, "scale": "tiny", "seed": 1}
+
+
+def test_run_cell_profile_shape(fabric_cell):
+    assert fabric_cell["figure"] == "fabric"  # alias resolved
+    assert fabric_cell["profiling_consistent"]
+    profile = fabric_cell["profile"]
+    assert profile["events"] == fabric_cell["events"] > 0
+    assert fabric_cell["simulators"] == 1
     # the acceptance bar: per-subsystem self time sums (within 1%) to
     # the total attributed dispatch wall time
-    total = report["dispatch_wall_s"] + report["outside_wall_s"]
-    self_sum = sum(s["self_s"] for s in report["subsystems"].values())
+    total = profile["dispatch_wall_s"] + profile["outside_wall_s"]
+    self_sum = sum(s["self_s"] for s in profile["subsystems"].values())
     assert abs(self_sum - total) <= 0.01 * total
-    assert "repro.sim.network" in report["subsystems"]
+    assert "repro.sim.network" in profile["subsystems"]
     assert any(
         c["name"].startswith("repro.sim.network:")
-        for c in report["callbacks"]
+        for c in profile["callbacks"]
     )
-    assert report["frames"]["net.maxmin_fill"]["count"] > 0
-    gauges = report["gauges"]
+    assert profile["frames"]["net.maxmin_fill"]["count"] > 0
+    gauges = profile["gauges"]
     for name in ("engine.queue_depth", "engine.tombstone_ratio",
                  "net.rebalance_component_flows", "net.dirty_links"):
         assert gauges[name]["n"] > 0, name
-    memory = report["memory"]
+    memory = profile["memory"]
     assert memory["samples"] > 0 and memory["peak_kb"] > 0
     assert memory["phases"] and all(
         p["peak_kb_max"] >= p["current_kb_mean"] > 0
@@ -274,32 +231,34 @@ def test_run_profile_report_shape(fabric_profile):
     )
 
 
-def test_flamegraph_exports(fabric_profile, tmp_path):
-    collapsed = collapsed_stacks(fabric_profile)
+def test_flamegraph_exports(fabric_cell, tmp_path):
+    report = _report(fabric_cell)
+    collapsed = collapsed_stacks(report)
     lines = collapsed.strip().splitlines()
     assert lines
     for line in lines:
         stack, weight = line.rsplit(" ", 1)
         assert int(weight) > 0
-        assert all(part for part in stack.split(";"))
+        parts = stack.split(";")
+        assert all(parts) and parts[0] == "fabric"  # rooted at the cell
     assert any("net.maxmin_fill" in line for line in lines)
 
-    doc = speedscope_doc(fabric_profile)
+    doc = speedscope_doc(report)
     n = validate_speedscope(doc)
     # collapsed drops sub-microsecond stacks; speedscope keeps them
     assert n >= len(lines) > 0
+    profile = fabric_cell["profile"]
     total = sum(doc["profiles"][0]["weights"])
     assert total == pytest.approx(
-        fabric_profile["dispatch_wall_s"] + fabric_profile["outside_wall_s"],
-        rel=0.02,
+        profile["dispatch_wall_s"] + profile["outside_wall_s"], rel=0.02
     )
     path = tmp_path / "prof.speedscope.json"
-    assert write_speedscope(str(path), fabric_profile) == n
+    assert write_speedscope(str(path), report) == n
     validate_speedscope(json.loads(path.read_text()))
 
 
-def test_validate_speedscope_rejects_malformed(fabric_profile):
-    doc = speedscope_doc(fabric_profile)
+def test_validate_speedscope_rejects_malformed(fabric_cell):
+    doc = speedscope_doc(_report(fabric_cell))
     with pytest.raises(ValueError):
         validate_speedscope({"profiles": []})
     bad = json.loads(json.dumps(doc))
@@ -308,43 +267,31 @@ def test_validate_speedscope_rejects_malformed(fabric_profile):
         validate_speedscope(bad)
 
 
-def test_compare_profiles_gate(fabric_profile):
-    report = fabric_profile
-    failures, _notes = compare_profiles(report, report, tolerance=0.25)
-    assert failures == []
-    slower = dict(report, events_per_s=report["events_per_s"] * 0.1)
-    failures, _notes = compare_profiles(report, slower, tolerance=0.25)
-    assert any("regressed" in f for f in failures)
-    perturbed = dict(report, digest_consistent=False)
-    failures, _notes = compare_profiles(report, perturbed, tolerance=0.25)
-    assert any("perturbed" in f for f in failures)
-    with pytest.raises(ValueError):
-        compare_profiles(report, report, tolerance=1.0)
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def test_cli_prof_writes_report_and_flamegraphs(tmp_path, capsys):
+def test_cli_bench_writes_flamegraphs(tmp_path, capsys):
     from repro.cli import main
 
-    out = tmp_path / "PROF.json"
+    out = tmp_path / "BENCH.json"
     flame = tmp_path / "prof.flame"
     scope = tmp_path / "prof.speedscope.json"
-    rc = main(["prof", "--cell", "fabric_micro", "--scale", "tiny",
-               "--seed", "1", "--out", str(out),
+    rc = main(["bench", "fabric", "fig10", "--scale", "tiny", "--seed", "1",
+               "--repeats", "1", "--out", str(out),
+               "--trajectory-dir", "none",
                "--flame", str(flame), "--speedscope", str(scope)])
     assert rc == 0
-    assert "per-subsystem wall time" in capsys.readouterr().out
+    assert "top_self" in capsys.readouterr().out
     report = json.loads(out.read_text())
-    assert report["schema"] == "repro.prof/1"
-    assert report["digest_consistent"]
-    assert flame.read_text().strip()
-    validate_speedscope(json.loads(scope.read_text()))
-
-    # self-compare passes the dossier gate with a generous tolerance
-    rc = main(["prof", "--cell", "fabric_micro", "--scale", "tiny",
-               "--seed", "1", "--out", "", "--tolerance", "0.9",
-               "--compare", str(out)])
-    assert rc == 0
-    assert "prof OK" in capsys.readouterr().out
+    assert all(c["profiling_consistent"] for c in report["cells"].values())
+    # one file for the whole run: every stack is rooted at its cell
+    roots = {
+        line.split(";", 1)[0].rsplit(" ", 1)[0]
+        for line in flame.read_text().strip().splitlines()
+    }
+    assert roots == {"fabric", "fig10"}
+    doc = json.loads(scope.read_text())
+    validate_speedscope(doc)
+    frames = doc["shared"]["frames"]
+    assert {frames[s[0]]["name"] for s in doc["profiles"][0]["samples"]} \
+        == roots
