@@ -16,7 +16,8 @@ and hybrid clusters -- the comparison at the heart of the paper.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, List, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.power import PowerModel
 from repro.cluster.resources import DEFAULT_PM_SPEC, Resources
@@ -28,13 +29,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.virt.vm import VirtualMachine
 
 
+def _prune(table: Dict[PoolEntry, Any]) -> Dict[PoolEntry, Any]:
+    """Drop finished or removed entries from an in-flight table, in place."""
+    for entry in [e for e in table if e.done]:
+        del table[entry]
+    return table
+
+
 class ExecutionContext:
     """Base class for anything tasks can run on.
 
-    Subclasses define the efficiency model (virtualization overheads)
-    and capacity shares.  The base class tracks live pool entries so
-    that memory pressure and throttling changes can be propagated to
-    in-flight work, and keeps the memory ledger.
+    The context is the only owner of its in-flight work: one
+    insertion-ordered table per resource maps each live pool entry to
+    what its caller asked for.  One share policy (``_cpu_share``,
+    ``_disk_share``, ``_memio_cap``; guests override it) sets every
+    entry's cap, weight and efficiency, both when work is added and on
+    :meth:`refresh_entries`.  The context also keeps the memory ledger.
     """
 
     def __init__(self, name: str, pm: "PhysicalMachine", mem_capacity_mb: float) -> None:
@@ -42,12 +52,12 @@ class ExecutionContext:
         self._pm = pm
         self.mem_capacity_mb = mem_capacity_mb
         self.mem_used_mb = 0.0
-        self._cpu_entries: List[PoolEntry] = []
-        self._disk_entries: List[PoolEntry] = []
-        self._memio_entries: List[PoolEntry] = []
-        #: per-entry sustained-I/O penalties, so refreshes can recompute
-        #: absolute efficiencies instead of ratcheting them down
-        self._disk_penalties: dict = {}
+        #: in-flight CPU work: entry -> requested cap
+        self._cpu: Dict[PoolEntry, float] = {}
+        #: in-flight disk work: entry -> (requested cap, efficiency penalty)
+        self._disk: Dict[PoolEntry, Tuple[float, float]] = {}
+        #: in-flight page-cache work
+        self._memio: Dict[PoolEntry, None] = {}
         #: transient fault-injection multipliers in (0, 1]: CPU steal
         #: (noisy neighbour / hypervisor contention) and a degraded disk
         #: (remapped sectors, failing controller).  Applied on top of the
@@ -79,15 +89,19 @@ class ExecutionContext:
     def net_efficiency(self) -> float:
         return 1.0
 
-    def cpu_cap_per_entry(self, requested_cap: float) -> float:
-        """Rate ceiling applied to a new CPU entry."""
-        return requested_cap
+    # -- share policy (overridden by guests) ------------------------------
+    # An entry's cap is the smaller of the ceiling and what its caller
+    # asked for; the weight is the entry's fair-share weight.
+    def _cpu_share(self, n: int) -> Tuple[float, float]:
+        """``(cap ceiling, weight)`` of each of ``n`` in-flight CPU entries."""
+        return math.inf, 1.0
 
-    def disk_cap_per_entry(self, requested_cap: float) -> float:
-        return requested_cap
+    def _disk_share(self, n: int) -> Tuple[float, float]:
+        """``(cap ceiling, weight)`` of each of ``n`` in-flight disk entries."""
+        return math.inf, 1.0
 
-    def cpu_weight_per_entry(self) -> float:
-        return 1.0
+    def _memio_cap(self) -> float:
+        return math.inf
 
     # -- memory ----------------------------------------------------------
     def alloc_mem(self, mb: float) -> None:
@@ -144,7 +158,6 @@ class ExecutionContext:
         self,
         core_seconds: float,
         on_complete: Optional[Callable[[], None]] = None,
-        weight: float = 1.0,
         cap: float = 1.0,
         label: str = "",
     ) -> PoolEntry:
@@ -153,23 +166,25 @@ class ExecutionContext:
         ``cap`` bounds the entry's rate (a single-threaded task can use
         at most 1 core regardless of idle capacity).
         """
+        cpu = _prune(self._cpu)
+        ceiling, weight = self._cpu_share(len(cpu) + 1)
         entry = self._pm.cpu_pool.add(
             core_seconds,
-            on_complete=self._wrap_done(self._cpu_entries, on_complete),
-            weight=weight * self.cpu_weight_per_entry(),
-            cap=self.cpu_cap_per_entry(cap),
+            on_complete=on_complete,
+            weight=weight,
+            cap=min(cap, ceiling),
             efficiency=self._combined_cpu_eff(),
             label=label or f"{self.name}:cpu",
         )
         if not entry.done:
-            self._cpu_entries.append(entry)
+            cpu[entry] = cap
+            self._added()
         return entry
 
     def run_disk(
         self,
         mb: float,
         on_complete: Optional[Callable[[], None]] = None,
-        weight: float = 1.0,
         cap: float = math.inf,
         label: str = "",
         efficiency_penalty: float = 0.0,
@@ -186,29 +201,42 @@ class ExecutionContext:
         if cached:
             entry = self._pm.memio_pool.add(
                 mb,
-                on_complete=self._wrap_done(self._memio_entries, on_complete),
-                weight=weight,
+                on_complete=on_complete,
+                cap=self._memio_cap(),
                 efficiency=0.95 if self.is_virtual else 1.0,
                 label=label or f"{self.name}:memio",
             )
             if not entry.done:
-                self._memio_entries.append(entry)
+                _prune(self._memio)[entry] = None
             return entry
+        disk = _prune(self._disk)
+        ceiling, _ = self._disk_share(len(disk) + 1)
         eff = max(
             0.05, self.disk_efficiency() * self.degrade_disk_factor - efficiency_penalty
         )
         entry = self._pm.disk_pool.add(
             mb,
-            on_complete=self._wrap_done(self._disk_entries, on_complete),
-            weight=weight,
-            cap=self.disk_cap_per_entry(cap),
+            on_complete=on_complete,
+            # enters at weight 1: a guest's refresh sets the blkio share in
+            # the same instant, and seeding it here would let that refresh
+            # skip its rebalance and shift the event sequence
+            weight=1.0,
+            cap=min(cap, ceiling),
             efficiency=eff,
             label=label or f"{self.name}:disk",
         )
         if not entry.done:
-            self._disk_entries.append(entry)
-            self._disk_penalties[id(entry)] = efficiency_penalty
+            disk[entry] = (cap, efficiency_penalty)
+            self._added()
         return entry
+
+    def _added(self) -> None:
+        # a guest's shares depend on its entry count and on its
+        # mixed-workload penalty, so new work re-derives its siblings;
+        # native shares do not, and refreshing would needlessly advance
+        # the PM's other pools
+        if self.is_virtual:
+            self.refresh_entries()
 
     def _combined_cpu_eff(self) -> float:
         return max(
@@ -218,64 +246,98 @@ class ExecutionContext:
             * self.degrade_cpu_factor,
         )
 
-    def _wrap_done(
-        self,
-        registry: List[PoolEntry],
-        on_complete: Optional[Callable[[], None]],
-    ) -> Callable[[], None]:
-        def done() -> None:
-            registry[:] = [e for e in registry if not e.done]
-            if on_complete is not None:
-                on_complete()
-
-        return done
-
     def refresh_entries(self) -> None:
-        """Re-apply efficiency/caps to in-flight work after a change.
+        """Re-apply the share policy to in-flight work after a change.
 
         Runs as one batched update per pool (see
         :meth:`~repro.sim.pool.ResourcePool.begin_batch`): the whole
         refresh costs one rebalance per touched pool instead of one per
-        entry mutation.
+        entry mutation.  Page-cache caps only move for guests (pause),
+        so native contexts leave that pool alone.
         """
-        self._cpu_entries[:] = [e for e in self._cpu_entries if not e.done]
-        self._disk_entries[:] = [e for e in self._disk_entries if not e.done]
-        self._memio_entries[:] = [e for e in self._memio_entries if not e.done]
-        if self._disk_entries or self._disk_penalties:
-            live = {id(e) for e in self._disk_entries}
-            self._disk_penalties = {
-                k: v for k, v in self._disk_penalties.items() if k in live
-            }
+        cpu = _prune(self._cpu)
+        disk = _prune(self._disk)
+        memio = _prune(self._memio) if self.is_virtual else {}
+        pm = self._pm
         pools = []
-        if self._cpu_entries:
-            pools.append(self._pm.cpu_pool)
-        if self._disk_entries:
-            pools.append(self._pm.disk_pool)
+        if cpu:
+            pools.append(pm.cpu_pool)
+        if disk:
+            pools.append(pm.disk_pool)
+        if memio:
+            pools.append(pm.memio_pool)
         for pool in pools:
             pool.begin_batch()
         try:
-            if self._cpu_entries:
-                cpu_eff = self._combined_cpu_eff()
-                for entry in self._cpu_entries:
-                    entry.set_efficiency(cpu_eff)
-            if self._disk_entries:
+            # opening a batch applies accrued progress, which can finish
+            # entries: shares are counted over what still runs
+            if _prune(cpu):
+                ceiling, weight = self._cpu_share(len(cpu))
+                eff = self._combined_cpu_eff()
+                for entry, requested in cpu.items():
+                    entry.set_cap(min(requested, ceiling))
+                    entry.set_weight(weight)
+                    entry.set_efficiency(eff)
+            if _prune(disk):
+                ceiling, weight = self._disk_share(len(disk))
                 base_eff = self.disk_efficiency() * self.degrade_disk_factor
-                for entry in self._disk_entries:
-                    penalty = self._disk_penalties.get(id(entry), 0.0)
+                for entry, (requested, penalty) in disk.items():
+                    entry.set_cap(min(requested, ceiling))
+                    entry.set_weight(weight)
                     entry.set_efficiency(max(0.05, base_eff - penalty))
+            if _prune(memio):
+                cap = self._memio_cap()
+                for entry in memio:
+                    entry.set_cap(cap)
         finally:
             for pool in pools:
                 pool.end_batch()
 
+    def drain(self) -> List[Callable[[], PoolEntry]]:
+        """Withdraw all in-flight work; return one replay per entry.
+
+        Live migration quiesces a guest with this, switches hosts and
+        then calls each replay, which resubmits the entry's remaining
+        work with its callback, requested cap and efficiency penalty to
+        the context's (new) pools.
+        """
+        pm = self._pm
+        work = [
+            (e, pm.cpu_pool, partial(self.run_cpu, cap=cap))
+            for e, cap in _prune(self._cpu).items()
+        ]
+        work += [
+            (e, pm.disk_pool, partial(self.run_disk, cap=cap, efficiency_penalty=pen))
+            for e, (cap, pen) in _prune(self._disk).items()
+        ]
+        work += [
+            (e, pm.memio_pool, partial(self.run_disk, cached=True))
+            for e in _prune(self._memio)
+        ]
+        replays = []
+        for entry, pool, run in work:
+            # withdrawing one entry advances its pool, whose completion
+            # callbacks may have ended a sibling since
+            if not entry.done:
+                pool.remove(entry)
+                replays.append(partial(run, entry.work_remaining, entry.on_complete))
+        self._cpu.clear()
+        self._disk.clear()
+        self._memio.clear()
+        return replays
+
+    @property
+    def cpu_entries(self) -> Tuple[PoolEntry, ...]:
+        """In-flight CPU entries, oldest first (read-only view)."""
+        return tuple(_prune(self._cpu))
+
     @property
     def active_cpu_entries(self) -> int:
-        self._cpu_entries[:] = [e for e in self._cpu_entries if not e.done]
-        return len(self._cpu_entries)
+        return len(_prune(self._cpu))
 
     @property
     def active_disk_entries(self) -> int:
-        self._disk_entries[:] = [e for e in self._disk_entries if not e.done]
-        return len(self._disk_entries)
+        return len(_prune(self._disk))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r} on {self._pm.name!r})"

@@ -250,8 +250,9 @@ class DynamicResourceManager:
 
     # -- CPU: work-conserving uncapping -----------------------------------
     def _balance_cpu(self, by_vm: Dict[str, List[TaskAttempt]]) -> None:
-        pms = {vm.pm for vm in self.vms}
-        for pm in pms:
+        # hosts in first-seen order: a set would iterate in object-address
+        # order, which differs from run to run
+        for pm in dict.fromkeys(vm.pm for vm in self.vms):
             batch_vms = [vm for vm in pm.vms if vm.name in self.lrms]
             if not batch_vms:
                 continue
@@ -263,8 +264,8 @@ class DynamicResourceManager:
                     if not by_vm.get(vm.name):
                         continue
                     starved = any(
-                        not e.done and e.rate >= e.cap - 1e-6 and e.cap > 0
-                        for e in vm._cpu_entries
+                        e.rate >= e.cap - 1e-6 and e.cap > 0
+                        for e in vm.cpu_entries
                     )
                     if starved and vm.cpu_fraction < 2.0:
                         vm.set_cpu_fraction(2.0)
@@ -286,8 +287,7 @@ class DynamicResourceManager:
 
     # -- Memory: ballooning -------------------------------------------------
     def _balance_memory(self) -> None:
-        pms = {vm.pm for vm in self.vms}
-        for pm in pms:
+        for pm in dict.fromkeys(vm.pm for vm in self.vms):
             guests = [vm for vm in pm.vms if vm.name in self.lrms]
             if len(guests) < 2:
                 continue

@@ -28,7 +28,10 @@ def _run_on_vms(
     n_pms = max(1, (n_vms + 1) // 2)
     cluster = Cluster.virtual(sim, n_pms, 2)
     contexts = cluster.vms[:n_vms]
-    mr = MapReduceCluster(sim, cluster.fabric, contexts, map_slots=None, reduce_slots=None)
+    mr = MapReduceCluster(
+        sim, cluster.fabric, contexts, map_slots=None, reduce_slots=None,
+        replication=min(2, n_vms),
+    )
     return mr.run_job(make_job(benchmark, input_gb=gb, num_reducers=max(1, n_vms // 2)))
 
 

@@ -67,7 +67,6 @@ class DataNode:
         block: Block,
         on_complete: Optional[Callable[[], None]] = None,
         efficiency_penalty: float = 0.0,
-        weight: float = 1.0,
         cached: bool = False,
     ) -> PoolEntry:
         """Read the replica (``cached`` serves it from the page cache)."""
@@ -77,7 +76,6 @@ class DataNode:
         return self.context.run_disk(
             block.size_mb,
             on_complete=on_complete,
-            weight=weight,
             label=f"{self.name}:read:{block.block_id}",
             efficiency_penalty=efficiency_penalty,
             cached=cached,
@@ -88,7 +86,6 @@ class DataNode:
         block: Block,
         on_complete: Optional[Callable[[], None]] = None,
         efficiency_penalty: float = 0.0,
-        weight: float = 1.0,
         cached: bool = False,
     ) -> PoolEntry:
         """Write a new replica; ``cached`` uses the page-cache path."""
@@ -106,7 +103,6 @@ class DataNode:
         return self.context.run_disk(
             block.size_mb,
             on_complete=stored,
-            weight=weight,
             label=f"{self.name}:write:{block.block_id}",
             efficiency_penalty=efficiency_penalty,
             cached=cached,

@@ -112,8 +112,8 @@ class InteractiveService:
         self.clients_trace = Trace(f"{name}:clients")
         self.current_latency_ms = profile.base_latency_s * 1000.0
         self.current_clients = 0
-        self._cpu_entries: List[PoolEntry] = []
-        self._disk_entries: List[PoolEntry] = []
+        self._cpu_demand: List[PoolEntry] = []
+        self._disk_demand: List[PoolEntry] = []
         self._cancel = None
         self._started = False
 
@@ -127,8 +127,8 @@ class InteractiveService:
         for vm in self.vms:
             cpu = vm.run_cpu(math.inf, cap=0.0, label=f"{self.name}:cpu")
             disk = vm.run_disk(math.inf, cap=0.0, label=f"{self.name}:io")
-            self._cpu_entries.append(cpu)
-            self._disk_entries.append(disk)
+            self._cpu_demand.append(cpu)
+            self._disk_demand.append(disk)
         self._epoch()
         self._cancel = self.sim.call_every(self.epoch_s, self._epoch)
 
@@ -136,11 +136,11 @@ class InteractiveService:
         if self._cancel is not None:
             self._cancel()
             self._cancel = None
-        for vm, cpu, disk in zip(self.vms, self._cpu_entries, self._disk_entries):
+        for vm, cpu, disk in zip(self.vms, self._cpu_demand, self._disk_demand):
             vm.pm.cpu_pool.remove(cpu)
             vm.pm.disk_pool.remove(disk)
-        self._cpu_entries.clear()
-        self._disk_entries.clear()
+        self._cpu_demand.clear()
+        self._disk_demand.clear()
         self._started = False
 
     # ------------------------------------------------------------------
@@ -161,9 +161,9 @@ class InteractiveService:
         # capacity available to the service *given current collocation*
         cpu_capacity = 0.0
         io_capacity = 0.0
-        for vm, cpu, disk in zip(self.vms, self._cpu_entries, self._disk_entries):
+        for vm, cpu, disk in zip(self.vms, self._cpu_demand, self._disk_demand):
             vm.update_requested_caps(((cpu, vm.spec.cpu_cores), (disk, vm.spec.disk_mbps)))
-        for cpu, disk in zip(self._cpu_entries, self._disk_entries):
+        for cpu, disk in zip(self._cpu_demand, self._disk_demand):
             cpu_capacity += cpu.rate * cpu.efficiency
             io_capacity += disk.rate * disk.efficiency
 
@@ -203,13 +203,14 @@ class InteractiveService:
         lam = n / (profile.think_time_s + latency_s) if n else 0.0
         cpu_eq = lam * profile.cpu_per_req_s / n_vms
         io_eq = lam * profile.io_mb_per_req / n_vms
-        for vm, cpu, disk in zip(self.vms, self._cpu_entries, self._disk_entries):
+        for vm, cpu, disk in zip(self.vms, self._cpu_demand, self._disk_demand):
             vm.update_requested_caps(((cpu, cpu_eq), (disk, io_eq)))
 
     def _background_disk_utilization(self) -> float:
         """Disk utilization of the service's hosts from *other* tenants."""
-        own = {id(e) for e in self._disk_entries}
-        pms = {vm.pm for vm in self.vms}
+        own = {id(e) for e in self._disk_demand}
+        # first-seen host order keeps the float sum below reproducible
+        pms = dict.fromkeys(vm.pm for vm in self.vms)
         total = 0.0
         for pm in pms:
             if pm.disk_pool.capacity <= 0:

@@ -16,11 +16,10 @@ here: ``cpu_fraction`` (credit-scheduler cap), ``io_limit_mbps``
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional
+from typing import Optional, Tuple
 
 from repro.cluster.machine import ExecutionContext, PhysicalMachine
 from repro.cluster.resources import DEFAULT_VM_SPEC, Resources
-from repro.sim.pool import PoolEntry
 from repro.virt.overheads import DEFAULT_OVERHEADS, OverheadModel
 
 
@@ -48,7 +47,6 @@ class VirtualMachine(ExecutionContext):
         self.io_limit_mbps: Optional[float] = None
         #: blkio weight: relative disk share vs other VMs on the host
         self.io_weight = 1.0
-        self._requested_caps: Dict[int, float] = {}
         pm.attach_vm(self)
         # the guest gets its own network endpoint, capped by the virtual
         # NIC ceiling and co-located (loopback) with its host's group
@@ -81,141 +79,32 @@ class VirtualMachine(ExecutionContext):
     def net_efficiency(self) -> float:
         return self.overheads.net_eff
 
-    def cpu_cap_per_entry(self, requested_cap: float) -> float:
-        if self.paused:
-            return 0.0
-        n = max(1, self.active_cpu_entries + 1)
+    def _cpu_share(self, n: int) -> Tuple[float, float]:
+        # credit-scheduler semantics: the guest's tasks together get one
+        # VM weight, however many there are, and its vCPU allocation
         share = self.spec.cpu_cores * self.cpu_fraction / n
-        return min(requested_cap, max(share, 1e-6))
+        return (0.0 if self.paused else max(share, 1e-6)), self.vm_weight / n
 
-    def disk_cap_per_entry(self, requested_cap: float) -> float:
-        if self.paused:
-            return 0.0
-        if self.io_limit_mbps is None:
-            return requested_cap
-        n = max(1, self.active_disk_entries + 1)
-        return min(requested_cap, max(self.io_limit_mbps / n, 1e-6))
+    def _disk_share(self, n: int) -> Tuple[float, float]:
+        limit = math.inf if self.io_limit_mbps is None else self.io_limit_mbps
+        return (0.0 if self.paused else max(limit / n, 1e-6)), self.io_weight / n
 
-    def cpu_weight_per_entry(self) -> float:
-        # the VM's aggregate weight stays constant no matter how many
-        # tasks it runs, like a credit-scheduler domain weight
-        n = max(1, self.active_cpu_entries + 1)
-        return self.vm_weight / n
-
-    # ------------------------------------------------------------------
-    # tracking requested caps so refreshes can recompute shares
-    # ------------------------------------------------------------------
-    def run_cpu(self, core_seconds, on_complete=None, weight=1.0, cap=1.0, label=""):
-        entry = super().run_cpu(core_seconds, on_complete, weight, cap, label)
-        if not entry.done:
-            self._requested_caps[id(entry)] = cap
-            self.refresh_entries()
-        return entry
-
-    def run_disk(
-        self,
-        mb,
-        on_complete=None,
-        weight=1.0,
-        cap=math.inf,
-        label="",
-        efficiency_penalty=0.0,
-        cached=False,
-    ):
-        entry = super().run_disk(
-            mb, on_complete, weight, cap, label, efficiency_penalty, cached
-        )
-        if not entry.done and not cached:
-            self._requested_caps[id(entry)] = cap
-            self.refresh_entries()
-        return entry
-
-    def refresh_entries(self) -> None:
-        """Recompute caps, weights and efficiencies for in-flight work.
-
-        Runs as one batched update per pool (see
-        :meth:`~repro.sim.pool.ResourcePool.begin_batch`): the whole
-        refresh costs one rebalance per touched pool instead of three
-        per entry.
-        """
-        self._cpu_entries[:] = [e for e in self._cpu_entries if not e.done]
-        self._disk_entries[:] = [e for e in self._disk_entries if not e.done]
-        self._memio_entries[:] = [e for e in self._memio_entries if not e.done]
-        live = {id(e) for e in self._cpu_entries} | {id(e) for e in self._disk_entries}
-        self._requested_caps = {
-            k: v for k, v in self._requested_caps.items() if k in live
-        }
-        pools = []
-        if self._cpu_entries:
-            pools.append(self._pm.cpu_pool)
-        if self._disk_entries:
-            pools.append(self._pm.disk_pool)
-        if self._memio_entries:
-            pools.append(self._pm.memio_pool)
-        for pool in pools:
-            pool.begin_batch()
-        try:
-            if self._cpu_entries:
-                cpu_eff = self._combined_cpu_eff()
-                n_cpu = len(self._cpu_entries)
-                cpu_share = self.spec.cpu_cores * self.cpu_fraction / n_cpu
-                cpu_weight = self.vm_weight / n_cpu
-                for entry in self._cpu_entries:
-                    requested = self._requested_caps.get(id(entry), 1.0)
-                    entry.set_cap(
-                        0.0 if self.paused else min(requested, max(cpu_share, 1e-6))
-                    )
-                    entry.set_weight(cpu_weight)
-                    entry.set_efficiency(cpu_eff)
-            live_disk = {id(e) for e in self._disk_entries}
-            self._disk_penalties = {
-                k: v for k, v in self._disk_penalties.items() if k in live_disk
-            }
-            if self._disk_entries:
-                base_disk_eff = self.disk_efficiency() * self.degrade_disk_factor
-                n_disk = len(self._disk_entries)
-                disk_weight = self.io_weight / n_disk
-                for entry in self._disk_entries:
-                    requested = self._requested_caps.get(id(entry), math.inf)
-                    if self.paused:
-                        entry.set_cap(0.0)
-                    elif self.io_limit_mbps is not None:
-                        entry.set_cap(
-                            min(requested, max(self.io_limit_mbps / n_disk, 1e-6))
-                        )
-                    else:
-                        entry.set_cap(requested)
-                    entry.set_weight(disk_weight)
-                    penalty = self._disk_penalties.get(id(entry), 0.0)
-                    entry.set_efficiency(max(0.05, base_disk_eff - penalty))
-            for entry in self._memio_entries:
-                entry.set_cap(0.0 if self.paused else math.inf)
-        finally:
-            for pool in pools:
-                pool.end_batch()
-
-    def update_requested_cap(self, entry: PoolEntry, cap: float) -> None:
-        """Change the rate ceiling an in-flight entry asked for.
-
-        Used by interactive services whose demand varies epoch to epoch;
-        going through the VM keeps the credit-scheduler share math
-        consistent on the next :meth:`refresh_entries`.
-        """
-        if cap < 0:
-            raise ValueError("cap must be non-negative")
-        self._requested_caps[id(entry)] = cap
-        self.refresh_entries()
+    def _memio_cap(self) -> float:
+        return 0.0 if self.paused else math.inf
 
     def update_requested_caps(self, updates) -> None:
-        """Batched :meth:`update_requested_cap`: write every ``(entry,
-        cap)`` pair, then refresh once.  The interactive probe/settle
-        loops adjust two entries per VM per epoch; paying one refresh
-        instead of one per entry is what keeps wide service fleets off
-        the pool-rebalance hot path."""
+        """Change the rate ceilings in-flight entries asked for: write
+        every ``(entry, cap)`` pair, then refresh once.  The interactive
+        probe/settle loops adjust two entries per VM per epoch; paying
+        one refresh instead of one per entry is what keeps wide service
+        fleets off the pool-rebalance hot path."""
         for entry, cap in updates:
             if cap < 0:
                 raise ValueError("cap must be non-negative")
-            self._requested_caps[id(entry)] = cap
+            if entry in self._cpu:
+                self._cpu[entry] = cap
+            elif entry in self._disk:
+                self._disk[entry] = (cap, self._disk[entry][1])
         self.refresh_entries()
 
     # ------------------------------------------------------------------
@@ -284,7 +173,7 @@ class VirtualMachine(ExecutionContext):
         In-flight entries are *not* carried across machine pools -- the
         migration module quiesces the VM first.
         """
-        if self._cpu_entries or self._disk_entries or self._memio_entries:
+        if self._cpu or self._disk or self._memio:
             raise RuntimeError(
                 f"cannot relocate {self.name} with in-flight pool entries"
             )
@@ -303,8 +192,8 @@ class VirtualMachine(ExecutionContext):
         Drives the dirty-page rate during live migration: a VM running
         Wcount dirties memory much faster than an idle one.
         """
-        cpu = sum(e.rate for e in self._cpu_entries if not e.done)
-        disk = sum(e.rate for e in self._disk_entries if not e.done)
+        cpu = sum(e.rate for e in self._cpu)
+        disk = sum(e.rate for e in self._disk)
         cpu_part = min(1.0, cpu / max(self.spec.cpu_cores, 1e-9))
         disk_part = min(1.0, disk / 40.0)
         return min(1.0, 0.6 * cpu_part + 0.4 * disk_part)

@@ -101,6 +101,52 @@ def test_drm_ablation_improves_jct(sim):
     assert run(True) < run(False)
 
 
+@pytest.fixture
+def reversed_host_hashes(monkeypatch):
+    """Hash PMs so that a set iterates them in reverse creation order:
+    code that walks hosts through a set, not in first-seen order, then
+    visits them differently from creation order."""
+    from repro.cluster.machine import PhysicalMachine
+
+    order = {}
+
+    def hash_(pm):
+        return 100 - order.setdefault(id(pm), len(order))
+
+    monkeypatch.setattr(PhysicalMachine, "__hash__", hash_)
+    return order
+
+
+def test_drm_visits_hosts_in_first_seen_order(reversed_host_hashes):
+    sim = Simulator(seed=1)
+    cluster = Cluster.virtual(sim, 4, 2)
+    for pm in cluster.pms:
+        hash(pm)
+    mr = MapReduceCluster(sim, cluster.fabric, list(cluster.vms), map_slots=2,
+                          reduce_slots=2)
+    drm = DynamicResourceManager(sim, mr.jt, list(cluster.vms))
+    for pm in cluster.pms:
+        needy = pm.vms[0]
+        needy.mem_used_mb = needy.mem_capacity_mb * 1.5
+    drm._balance_memory()
+    needy_names = [a.rsplit(" ", 1)[-1] for a in drm.actions]
+    assert needy_names == [pm.vms[0].name for pm in cluster.pms]
+
+
+def test_service_sums_background_load_in_host_order(reversed_host_hashes):
+    sim = Simulator(seed=1)
+    cluster = Cluster.virtual(sim, 3, 1)
+    for pm in cluster.pms:
+        hash(pm)
+    shares = (0.1, 0.2, 0.3)
+    for pm, share in zip(cluster.pms, shares):
+        pm.native.run_disk(math.inf, cap=share * pm.disk_pool.capacity)
+    svc = InteractiveService(sim, "s", RUBIS, list(cluster.vms), ConstantLoad(10))
+    # float addition is not associative: the order is visible in the sum
+    assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    assert svc._background_disk_utilization() == ((0.1 + 0.2) + 0.3) / 3
+
+
 def test_lrm_estimates_progress_rates(sim, virtual_cluster, virtual_mr):
     drm = DynamicResourceManager(sim, virtual_mr.jt, list(virtual_cluster.vms))
     drm.start()

@@ -74,6 +74,16 @@ def test_fig5_jct_shrinks_with_cluster_and_grows_with_data():
         assert result[8][gb] < result[2][gb]
 
 
+def test_fig05_cell_runs_on_a_single_vm():
+    # a one-VM cluster cannot hold two replicas of each block
+    from repro.experiments.fig05_profiling_curves import run
+
+    result = run(seed=1, data_sizes_gb=(0.25, 0.5), cluster_sizes=(1, 2))
+    assert set(result["fig5d"]) == {1, 2}
+    for series in result["fig5d"].values():
+        assert series[0.25] < series[0.5]
+
+
 def test_fig6a_profiling_error_reasonable():
     from repro.experiments.fig06_models import fig6a
 

@@ -109,7 +109,7 @@ def test_service_holds_only_equilibrium_demand(sim, virtual_cluster):
     sim.run(until=30.0)
     vm = virtual_cluster.vms[0]
     # ~100/7 req/s * 0.01 s/req = 0.14 cores of demand, far below 1 vCPU
-    used = sum(e.rate for e in vm._cpu_entries)
+    used = sum(e.rate for e in vm.cpu_entries)
     assert used < 0.4
 
 

@@ -186,6 +186,23 @@ def test_migration_requeues_inflight_work(sim, virtual_cluster):
     assert len(done) == 1  # work survived the migration
 
 
+def test_migration_keeps_disk_efficiency_penalty(sim, virtual_cluster):
+    vm = virtual_cluster.vms[0]
+    entry = vm.run_disk(5000.0, efficiency_penalty=0.3)
+    assert entry.efficiency == pytest.approx(vm.disk_efficiency() - 0.3)
+    replayed = []
+    LiveMigration(
+        sim, virtual_cluster.fabric, vm, virtual_cluster.pms[3],
+        on_complete=lambda rec: replayed.extend(vm.pm.disk_pool.entries),
+    )
+    sim.run()
+    (moved,) = replayed
+    assert moved is not entry and moved.work_remaining < 5000.0
+    # the destination hosts three guests: a lower base, the same penalty
+    assert moved.efficiency == pytest.approx(vm.disk_efficiency() - 0.3)
+    assert moved.efficiency < entry.efficiency
+
+
 def test_busy_vm_migrates_slower_than_idle(sim):
     def measure(busy):
         local_sim_cluster = Cluster.virtual(sim.__class__(seed=9), 2, 2)
