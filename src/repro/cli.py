@@ -674,38 +674,29 @@ def cmd_chaos(args) -> int:
     return 0
 
 
-def _tolerance(text: str) -> float:
-    """argparse type for ``bench --tolerance``: a fraction in [0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1)")
-    return value
-
-
 def cmd_bench(args) -> int:
     import json
 
     from repro.obs.bench import (
         DEFAULT_CELLS,
-        archive_report,
         compare_reports,
         format_bench,
-        format_compare_table,
         run_bench,
         write_bench_json,
     )
     from repro.obs.prof import write_collapsed, write_speedscope
 
+    # read the baseline before any cell runs: --out may name the same file
+    baseline = None
+    if args.compare:
+        with open(args.compare, "r", encoding="utf-8") as fh:
+            baseline = json.load(fh)
     cells = args.cells or list(DEFAULT_CELLS)
     report = run_bench(
         cells,
         scale=args.scale,
         seed=args.seed,
         progress=lambda line: print(f"  {line}"),
-        repeats=args.repeats,
         trace_malloc=args.trace_malloc,
     )
     print()
@@ -721,22 +712,16 @@ def cmd_bench(args) -> int:
         samples = write_speedscope(args.speedscope, report)
         print(f"wrote {args.speedscope} ({samples} samples; open at "
               f"https://speedscope.app)")
-    if args.trajectory_dir and args.trajectory_dir != "none":
-        archived = archive_report(report, args.trajectory_dir)
-        print(f"archived {archived}")
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        print()
-        print(format_compare_table(baseline, report))
-        failures, notes = compare_reports(baseline, report, args.tolerance)
+    if baseline is not None:
+        failures, notes = compare_reports(baseline, report)
         for note in notes:
             print(f"note: {note}")
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}", file=sys.stderr)
             return 1
-        print(f"bench OK vs {args.compare} (tolerance {args.tolerance:.0%})")
+        print(f"bench OK vs {args.compare}: result digests, events and "
+              f"event counts match")
     return 0
 
 
@@ -1065,15 +1050,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="benchmark and profile the simulator; CI regression gate",
-        description="Run sweep cells at a pinned scale/seed: bare timed "
-        "passes (events/sec, peak RSS), one profiled pass "
+        help="benchmark and profile the simulator; CI determinism gate",
+        description="Run sweep cells at a pinned scale/seed: one bare "
+        "timed pass (events/sec, peak RSS), one profiled pass "
         "(per-subsystem event counts and self/cumulative wall time, "
         "engine gauges, flamegraph stacks) and one traced pass "
         "(spans/sec, critical-path blame), writing a repro.bench/1 "
-        "report.  With --compare, exit non-zero if any cell's "
-        "events/sec regressed beyond the tolerance vs the baseline "
-        "report or an observed pass perturbed a result.",
+        "report.  With --compare, exit non-zero if any cell's result "
+        "digest, event count or per-subsystem event counts differ from "
+        "the baseline report, or an observed pass perturbed a result.  "
+        "Wall times are reported, never gated.",
     )
     bench.add_argument("cells", nargs="*",
                        help="cells to benchmark (default: headline fig01 "
@@ -1081,20 +1067,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--scale", choices=("tiny", "small", "medium", "paper"),
                        default="tiny")
     bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--repeats", type=int, default=2,
-                       help="bare timed passes per cell; the fastest "
-                            "wall time counts (noise filter)")
-    bench.add_argument("--out", default="BENCH_headline.json",
+    bench.add_argument("--out", default="BENCH_current.json",
                        help="bench report path (empty string to skip)")
     bench.add_argument("--compare", metavar="BASELINE", default=None,
                        help="baseline repro.bench report to gate against")
-    bench.add_argument("--tolerance", type=_tolerance, default=0.2,
-                       help="allowed fractional events/sec regression, "
-                       "in [0, 1)")
-    bench.add_argument("--trajectory-dir", default="BENCH_trajectory",
-                       metavar="DIR",
-                       help="perf-history directory each run is archived "
-                       "to ('none' to skip)")
     bench.add_argument("--trace-malloc", action="store_true",
                        help="sample tracemalloc memory into phase buckets "
                        "of the profiled pass (slows it, never its result)")

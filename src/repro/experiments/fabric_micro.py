@@ -6,9 +6,9 @@ all-to-all waves, keeping a bounded number of fetches in flight exactly
 like :meth:`TaskAttempt._pump_fetches`.  Same-PM fetches ride loopback
 channels, a NIC degradation window and a partition pulse exercise the
 fault surfaces, and a batch of doomed flows per wave exercises
-``cancel_flow``.  This is the cell the ``repro bench`` regression gate
-watches for the fabric hot path: nearly every simulation event lands in
-``repro.sim.network``, so events/sec here is a direct measure of the
+``cancel_flow``.  This is the cell perfbench's ``shuffle-fabric``
+workload times for the fabric hot path: nearly every simulation event
+lands in ``repro.sim.network``, so events/sec here is a direct measure of the
 flow rebalance + advance kernels, and the cell's profile (``repro bench
 fabric --flame prof.flame``) splits their wall time between the
 ``net.maxmin_fill`` frame and the callbacks around it.

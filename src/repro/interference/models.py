@@ -8,26 +8,16 @@ slowdown as:
   capacity, then a steeper paging slope;
 - **I/O**: exponential in collocated I/O rate (Figure 6(c)).
 
-Each model exposes ``fit(x, y)`` / ``predict(x)``; fitting is vectorized
-(numpy) when the optional extra is installed so the Phase II scheduler
-can refresh models online every epoch, with a pure-Python fallback that
-keeps numpy-less installs fully functional (see
-:mod:`repro.interference.regression` for the equivalence caveats).
+Each model exposes ``fit(x, y)`` / ``predict(x)``; fits are closed-form
+least squares (:mod:`repro.interference.regression`), cheap enough for
+the Phase II scheduler to refresh models online every epoch.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-try:  # optional extra (see pyproject ``[fast]``)
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less environments
-    np = None
-if os.environ.get("REPRO_PURE_PYTHON"):  # force the fallback (CI exercises it)
-    np = None
 
 from repro.interference.regression import fit_line, r_squared
 
@@ -85,9 +75,6 @@ class PiecewiseLinearModel:
         order = sorted(range(len(xs)), key=xs.__getitem__)
         xs = [xs[i] for i in order]
         ys = [ys[i] for i in order]
-        if np is not None:
-            axs = np.asarray(xs, dtype=float)
-            ays = np.asarray(ys, dtype=float)
         best_err = math.inf
         best = None
         for split in range(self.min_segment, len(xs) - self.min_segment + 1):
@@ -95,19 +82,11 @@ class PiecewiseLinearModel:
             rx, ry = xs[split:], ys[split:]
             ls, li = fit_line(lx, ly)
             rs, ri = fit_line(rx, ry)
-            if np is not None:
-                alx, aly = axs[:split], ays[:split]
-                arx, ary = axs[split:], ays[split:]
-                err = float(
-                    np.sum((aly - (ls * alx + li)) ** 2)
-                    + np.sum((ary - (rs * arx + ri)) ** 2)
-                )
-            else:
-                err = math.fsum(
-                    (ly[i] - (ls * lx[i] + li)) ** 2 for i in range(len(lx))
-                ) + math.fsum(
-                    (ry[i] - (rs * rx[i] + ri)) ** 2 for i in range(len(rx))
-                )
+            err = math.fsum(
+                (ly[i] - (ls * lx[i] + li)) ** 2 for i in range(len(lx))
+            ) + math.fsum(
+                (ry[i] - (rs * rx[i] + ri)) ** 2 for i in range(len(rx))
+            )
             if err < best_err:
                 best_err = err
                 best = (xs[split - 1], ls, li, rs, ri)
@@ -151,11 +130,7 @@ class ExponentialModel:
         if not xs:
             raise ValueError("cannot fit an empty dataset")
         self.c = min(ys) * 0.95
-        if np is not None:
-            shifted = np.maximum(np.asarray(ys, dtype=float) - self.c, 1e-9)
-            log_shifted = np.log(shifted)
-        else:
-            log_shifted = [math.log(max(v - self.c, 1e-9)) for v in ys]
+        log_shifted = [math.log(max(v - self.c, 1e-9)) for v in ys]
         slope, intercept = fit_line(xs, log_shifted)
         self.b = slope
         self.a = math.exp(intercept)

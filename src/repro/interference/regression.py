@@ -1,26 +1,14 @@
 """Small regression utilities shared by the model classes.
 
-numpy is an optional extra: when it is installed (and
-``REPRO_PURE_PYTHON`` is unset) fits go through ``np.polyfit`` exactly
-as before, so results in numpy environments are bit-for-bit stable.
-Without numpy a closed-form least-squares fallback keeps the package
-fully functional; fallback fits can differ from numpy's in the last
-ulps (polyfit is lstsq/SVD-based), so digests are comparable only
-within one environment flavour.
+Closed-form least squares in pure Python: the data sets the Phase II
+scheduler refits every epoch are a few dozen points, small enough that
+array libraries cost more in call overhead than they save.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Sequence, Tuple
-
-try:  # optional extra (see pyproject ``[fast]``)
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less environments
-    np = None
-if os.environ.get("REPRO_PURE_PYTHON"):  # force the fallback (CI exercises it)
-    np = None
 
 
 def fit_line(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
@@ -29,17 +17,6 @@ def fit_line(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
     Degenerate inputs (fewer than two points, or zero variance in x)
     fall back to a flat line through the mean.
     """
-    if np is not None:
-        xs = np.asarray(x, dtype=float)
-        ys = np.asarray(y, dtype=float)
-        if xs.size != ys.size:
-            raise ValueError("x and y must have equal length")
-        if xs.size == 0:
-            raise ValueError("cannot fit an empty dataset")
-        if xs.size < 2 or float(np.ptp(xs)) < 1e-12:
-            return 0.0, float(np.mean(ys))
-        slope, intercept = np.polyfit(xs, ys, 1)
-        return float(slope), float(intercept)
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
     if len(xs) != len(ys):
@@ -60,16 +37,6 @@ def fit_line(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float]:
 
 def r_squared(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
     """Coefficient of determination (1.0 = perfect fit)."""
-    if np is not None:
-        yt = np.asarray(y_true, dtype=float)
-        yp = np.asarray(y_pred, dtype=float)
-        if yt.size != yp.size or yt.size == 0:
-            raise ValueError("inputs must be equal-length and non-empty")
-        ss_res = float(np.sum((yt - yp) ** 2))
-        ss_tot = float(np.sum((yt - np.mean(yt)) ** 2))
-        if ss_tot < 1e-12:
-            return 1.0 if ss_res < 1e-12 else 0.0
-        return 1.0 - ss_res / ss_tot
     yt = [float(v) for v in y_true]
     yp = [float(v) for v in y_pred]
     if len(yt) != len(yp) or not yt:

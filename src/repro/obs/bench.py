@@ -1,13 +1,13 @@
 """Simulator self-measurement (``repro bench``).
 
-Treats the simulator's own throughput as a first-class metric.  Each
+Measures the simulator itself: where its wall time goes, and whether
+the same seed gives the same work and the same result.  Each
 benchmarked cell (a :mod:`repro.sweep` figure function) runs three
 kinds of pass, each under a :class:`~repro.obs.capture.SimCapture`:
 
-1. ``repeats`` *bare* timed passes with nothing attached: wall-clock
-   time (the fastest repetition counts, so machine noise cannot
-   masquerade as a regression), events processed and events/sec.
-   Every repetition must produce the same result digest;
+1. one *bare* timed pass with nothing attached: wall-clock time,
+   events processed and events/sec (informational; speed is gated by
+   the paired ``perfbench`` gate, ``tools/paired_perfbench.py``);
 2. one *profiled* pass under a :class:`~repro.obs.prof.Profiler`
    (optionally with ``tracemalloc`` sampling): per-subsystem event
    counts and self/cumulative wall time, engine-health gauges and the
@@ -44,12 +44,12 @@ simulation.
     }
 
 ``profile`` is :meth:`Profiler.snapshot` of the profiled pass.
-``compare_reports`` is the one regression gate: against a committed
-baseline it fails when any cell's events/sec drops by more than the
-tolerance (default 20%) or an observed pass perturbed a result;
-result-digest changes and self-share shifts are surfaced as notes
-(simulation outputs legitimately change across PRs -- the gate watches
-*speed*, the tests watch *correctness*).
+``compare_reports`` is the determinism gate: against a committed
+baseline it fails when a cell's ``result_digest``, ``events`` or any
+``event_counts`` entry differs, or an observed pass perturbed a
+result.  Cell-set drift and per-subsystem self-share shifts are notes.
+Wall times are reported but never gated here: a single run on a shared
+machine cannot tell a slowdown from noise.
 """
 
 from __future__ import annotations
@@ -103,16 +103,10 @@ def run_cell(
     figure: str,
     scale: str = "tiny",
     seed: int = 1,
-    repeats: int = 2,
     trace_malloc: bool = False,
 ) -> dict:
     """Benchmark one sweep cell: bare, profiled and traced passes.
 
-    The bare pass runs ``repeats`` times and keeps the *fastest* wall
-    time -- the usual best-of-N discipline that filters out scheduler
-    noise from a shared machine, making the regression gate far less
-    flaky.  Every repetition must produce the same result digest (the
-    cells are pure functions of seed), which is asserted.
     ``trace_malloc`` adds ``tracemalloc`` memory phases to the
     profiled pass.
     """
@@ -123,20 +117,11 @@ def run_cell(
     fn = load(figure)
     scale_obj = resolve_scale(scale)
 
-    wall_s = float("inf")
-    digest = None
-    for _ in range(max(1, repeats)):
-        with SimCapture() as bare:
-            started = time.perf_counter()
-            result = fn(scale_obj, seed)
-            wall_s = min(wall_s, time.perf_counter() - started)
-        rep_digest = result_digest(result)
-        if digest is not None and rep_digest != digest:
-            raise AssertionError(
-                f"cell {figure} is not a pure function of its seed: "
-                "result digest changed between bare repetitions"
-            )
-        digest = rep_digest
+    with SimCapture() as bare:
+        started = time.perf_counter()
+        result = fn(scale_obj, seed)
+        wall_s = time.perf_counter() - started
+    digest = result_digest(result)
     events = bare.total_events()
 
     prof = Profiler(trace_memory=trace_malloc)
@@ -187,14 +172,13 @@ def run_bench(
     scale: str = "tiny",
     seed: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    repeats: int = 2,
     trace_malloc: bool = False,
 ) -> dict:
     """Benchmark ``cells`` and return the ``repro.bench/1`` report."""
     started = time.perf_counter()
     out: Dict[str, dict] = {}
     for figure in cells:
-        cell = run_cell(figure, scale, seed, repeats, trace_malloc)
+        cell = run_cell(figure, scale, seed, trace_malloc)
         out[cell["figure"]] = cell
         if progress is not None:
             progress(
@@ -230,23 +214,20 @@ def write_bench_json(path: str, report: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# regression gate
+# determinism gate
 # ----------------------------------------------------------------------
-def compare_reports(
-    baseline: dict, current: dict, tolerance: float = 0.2
-) -> Tuple[List[str], List[str]]:
-    """Compare a bench report against a baseline.
+def compare_reports(baseline: dict, current: dict) -> Tuple[List[str], List[str]]:
+    """Gate a bench report on exact determinism against a baseline.
 
-    Returns ``(failures, notes)``.  Failures (events/sec regression
-    beyond ``tolerance``, tracing or profiling perturbing a result)
-    should fail CI; notes (digest changes, event-count and cell set
-    drift, per-subsystem self-share shifts of ``SHARE_SHIFT_PP`` or
-    more when both cells carry a ``profile``) are informational --
-    the wall-time mix legitimately moves as code changes, the note
-    makes the move visible instead of judging it.
+    Returns ``(failures, notes)``.  A cell present in both reports
+    fails when its ``result_digest``, ``events`` or any
+    ``event_counts`` entry differs from the baseline, or when its
+    traced or profiled pass perturbed the result.  Notes (cells missing
+    from the run, new cells, per-subsystem self-share shifts of
+    ``SHARE_SHIFT_PP`` or more when both cells carry a ``profile``) are
+    informational: the wall-time mix legitimately moves as code
+    changes.
     """
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError("tolerance must be in [0, 1)")
     failures: List[str] = []
     notes: List[str] = []
     base_cells = baseline.get("cells", {})
@@ -256,32 +237,26 @@ def compare_reports(
             notes.append(f"{name}: in baseline but missing from current run")
             continue
         base, cur = base_cells[name], cur_cells[name]
-        floor = base["events_per_s"] * (1.0 - tolerance)
-        if cur["events_per_s"] < floor:
-            failures.append(
-                f"{name}: events/s regressed "
-                f"{base['events_per_s']:,.0f} -> {cur['events_per_s']:,.0f} "
-                f"(floor {floor:,.0f} at tolerance {tolerance:.0%})"
-            )
-        if not cur.get("tracing_consistent", True):
-            failures.append(
-                f"{name}: tracing perturbed the simulation result "
-                "(digest mismatch between bare and traced passes)"
-            )
-        if not cur.get("profiling_consistent", True):
-            failures.append(
-                f"{name}: profiling perturbed the simulation result "
-                "(digest mismatch between bare and profiled passes)"
-            )
-        if cur.get("result_digest") != base.get("result_digest"):
-            notes.append(
-                f"{name}: result digest changed "
-                f"(simulation output differs from the baseline)"
-            )
-        if base.get("events") and cur.get("events") != base["events"]:
-            notes.append(
-                f"{name}: events {base['events']} -> {cur['events']}"
-            )
+        for key in ("result_digest", "events"):
+            if cur.get(key) != base.get(key):
+                failures.append(
+                    f"{name}: {key} {base.get(key)} -> {cur.get(key)}"
+                )
+        base_counts = base.get("event_counts", {})
+        cur_counts = cur.get("event_counts", {})
+        for module in sorted(set(base_counts) | set(cur_counts)):
+            if cur_counts.get(module) != base_counts.get(module):
+                failures.append(
+                    f"{name}: event_counts[{module}] "
+                    f"{base_counts.get(module)} -> {cur_counts.get(module)}"
+                )
+        for observer, observed in (("tracing", "traced"),
+                                   ("profiling", "profiled")):
+            if not cur.get(f"{observer}_consistent", True):
+                failures.append(
+                    f"{name}: {observer} perturbed the simulation result "
+                    f"(digest mismatch between bare and {observed} passes)"
+                )
         if "profile" in base and "profile" in cur:
             notes.extend(_share_shift_notes(
                 name, base["profile"]["subsystems"],
@@ -304,101 +279,6 @@ def _share_shift_notes(cell: str, base: dict, cur: dict) -> List[str]:
                 f"{base_pct:.1f}% -> {cur_pct:.1f}% ({shift:+.1f}pp)"
             )
     return notes
-
-
-def format_compare_table(baseline: dict, current: dict) -> str:
-    """Per-cell delta table for ``repro bench --compare``.
-
-    A bare pass/fail hides *where* a budget went; this shows each
-    cell's events/sec move, the event-count drift, and the largest
-    critpath blame-share shift -- the usual first clue to *why* a cell
-    got slower (work moved between subsystems vs the same work running
-    slower).
-    """
-    from repro.metrics.report import format_table
-
-    base_cells = baseline.get("cells", {})
-    cur_cells = current.get("cells", {})
-    rows = []
-    for name in sorted(set(base_cells) | set(cur_cells)):
-        base, cur = base_cells.get(name), cur_cells.get(name)
-        if base is None or cur is None:
-            rows.append([
-                name, "-", "-", "new" if base is None else "dropped",
-                "-", "-",
-            ])
-            continue
-        base_eps, cur_eps = base["events_per_s"], cur["events_per_s"]
-        eps_delta = 100.0 * (cur_eps - base_eps) / base_eps if base_eps else 0.0
-        shift_label = "-"
-        base_blame = base.get("blame_pct", {})
-        cur_blame = cur.get("blame_pct", {})
-        shifts = [
-            (cur_blame.get(c, 0.0) - base_blame.get(c, 0.0), c)
-            for c in set(base_blame) | set(cur_blame)
-        ]
-        if shifts:
-            shift, category = max(shifts, key=lambda sc: abs(sc[0]))
-            if abs(shift) >= 0.05:
-                shift_label = f"{category} {shift:+.1f}pp"
-        rows.append([
-            name,
-            round(base_eps),
-            round(cur_eps),
-            f"{eps_delta:+.1f}%",
-            cur.get("events", 0) - base.get("events", 0),
-            shift_label,
-        ])
-    base_total = baseline.get("totals", {}).get("events_per_s", 0.0)
-    cur_total = current.get("totals", {}).get("events_per_s", 0.0)
-    total_delta = (
-        100.0 * (cur_total - base_total) / base_total if base_total else 0.0
-    )
-    return format_table(
-        ["cell", "base_ev/s", "cur_ev/s", "Δev/s", "Δevents", "blame_shift"],
-        rows,
-        title=(
-            f"bench vs baseline -- total events/s "
-            f"{base_total:,.0f} -> {cur_total:,.0f} ({total_delta:+.1f}%)"
-        ),
-    )
-
-
-def archive_report(report: dict, directory: str) -> str:
-    """Append ``report`` to a ``BENCH_trajectory/`` perf-history dir.
-
-    Writes ``bench-<utc>-<digest8>.json`` plus one line in
-    ``index.jsonl`` (timestamp, file, per-cell events/sec), so the
-    events/sec history across PRs is one ``jq`` away.  Returns the
-    archived file's path.
-    """
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-    digest = hashlib.sha256(
-        json.dumps(report, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:8]
-    path = os.path.join(directory, f"bench-{stamp}-{digest}.json")
-    write_bench_json(path, report)
-    index_line = {
-        "ts": stamp,
-        "file": os.path.basename(path),
-        "repro_version": report.get("repro_version"),
-        "scale": report.get("scale"),
-        "seed": report.get("seed"),
-        "total_events_per_s": round(
-            report.get("totals", {}).get("events_per_s", 0.0), 1
-        ),
-        "events_per_s": {
-            name: round(cell["events_per_s"], 1)
-            for name, cell in sorted(report.get("cells", {}).items())
-        },
-    }
-    with open(os.path.join(directory, "index.jsonl"), "a",
-              encoding="utf-8") as fh:
-        fh.write(json.dumps(index_line, sort_keys=True) + "\n")
-    return path
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""repro.obs.bench + SimCapture: profiling, regression gate, CLI."""
+"""repro.obs.bench + SimCapture: profiling, determinism gate, CLI; the
+paired perfbench verdict."""
 
-import copy
+import importlib.util
 import json
 from pathlib import Path
 
@@ -10,10 +11,8 @@ from repro.cluster.cluster import Cluster
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.obs.bench import (
     DEFAULT_CELLS,
-    archive_report,
     compare_reports,
     format_bench,
-    format_compare_table,
     result_digest,
     run_bench,
     run_cell,
@@ -136,7 +135,7 @@ def test_result_digest_is_order_insensitive():
 
 
 # ----------------------------------------------------------------------
-# the regression gate
+# the determinism gate
 # ----------------------------------------------------------------------
 def _fake_report(events_per_s=1000.0, digest="d0", consistent=True,
                  profiled=True):
@@ -144,6 +143,7 @@ def _fake_report(events_per_s=1000.0, digest="d0", consistent=True,
         "cells": {
             "fig10": {
                 "events": 100,
+                "event_counts": {"repro.sim.network": 60, "repro.mapreduce": 40},
                 "events_per_s": events_per_s,
                 "result_digest": digest,
                 "tracing_consistent": consistent,
@@ -162,32 +162,54 @@ def _with_shares(report, **self_pct):
 
 def test_compare_reports_passes_identical_runs():
     report = _fake_report()
-    failures, notes = compare_reports(report, report, 0.2)
+    failures, notes = compare_reports(report, report)
     assert failures == [] and notes == []
 
 
-def test_compare_reports_fails_on_regression():
-    baseline = _fake_report(events_per_s=1000.0)
-    current = _fake_report(events_per_s=700.0)  # -30% < -20% tolerance
-    failures, _notes = compare_reports(baseline, current, 0.2)
-    assert len(failures) == 1 and "regressed" in failures[0]
-    # within tolerance: -10% passes
-    failures, _notes = compare_reports(
-        baseline, _fake_report(events_per_s=900.0), 0.2
+def test_compare_reports_ignores_speed():
+    failures, notes = compare_reports(
+        _fake_report(events_per_s=1000.0), _fake_report(events_per_s=10.0)
     )
-    assert failures == []
+    assert failures == [] and notes == []
+
+
+def test_compare_reports_fails_on_digest_mismatch():
+    failures, _notes = compare_reports(_fake_report(), _fake_report(digest="d1"))
+    assert failures == ["fig10: result_digest d0 -> d1"]
+
+
+def test_compare_reports_fails_on_event_count_mismatch():
+    current = _fake_report()
+    current["cells"]["fig10"]["events"] = 101
+    failures, _notes = compare_reports(_fake_report(), current)
+    assert failures == ["fig10: events 100 -> 101"]
+
+
+@pytest.mark.parametrize("counts, failure", [
+    ({"repro.sim.network": 61, "repro.mapreduce": 40},
+     "fig10: event_counts[repro.sim.network] 60 -> 61"),
+    ({"repro.sim.network": 60},
+     "fig10: event_counts[repro.mapreduce] 40 -> None"),
+    ({"repro.sim.network": 60, "repro.mapreduce": 40, "repro.hdfs": 1},
+     "fig10: event_counts[repro.hdfs] None -> 1"),
+])
+def test_compare_reports_fails_on_one_event_counts_entry(counts, failure):
+    current = _fake_report()
+    current["cells"]["fig10"]["event_counts"] = counts
+    failures, _notes = compare_reports(_fake_report(), current)
+    assert failures == [failure]
 
 
 def test_compare_reports_fails_on_tracing_perturbation():
     baseline = _fake_report()
     current = _fake_report(consistent=False)
-    failures, _notes = compare_reports(baseline, current, 0.2)
+    failures, _notes = compare_reports(baseline, current)
     assert any("perturbed" in f for f in failures)
 
 
 def test_compare_reports_fails_on_profiling_perturbation():
     failures, _notes = compare_reports(
-        _fake_report(), _fake_report(profiled=False), 0.2
+        _fake_report(), _fake_report(profiled=False)
     )
     assert len(failures) == 1 and "profiling perturbed" in failures[0]
 
@@ -195,124 +217,127 @@ def test_compare_reports_fails_on_profiling_perturbation():
 def test_compare_reports_notes_self_share_shift():
     baseline = _with_shares(_fake_report(), pool=40.0, net=10.0, jt=20.0)
     current = _with_shares(_fake_report(), pool=34.0, net=14.9, jt=21.0)
-    failures, notes = compare_reports(baseline, current, 0.2)
+    failures, notes = compare_reports(baseline, current)
     assert failures == []
     # pool moved 6pp (noted); net 4.9pp and jt 1pp stay quiet
     assert notes == [
         "fig10: pool self-time share shifted 40.0% -> 34.0% (-6.0pp)"
     ]
     # a baseline without profiles (older reports) gets no share notes
-    failures, notes = compare_reports(_fake_report(), current, 0.2)
+    failures, notes = compare_reports(_fake_report(), current)
     assert failures == [] and notes == []
 
 
 def test_compare_reports_notes_digest_and_cell_drift():
+    """A digest change fails the gate; cell-set drift stays a note."""
     baseline = _fake_report()
     current = _fake_report(digest="d1")
     current["cells"]["new"] = dict(current["cells"]["fig10"])
-    failures, notes = compare_reports(baseline, current, 0.2)
+    failures, notes = compare_reports(baseline, current)
+    assert failures == ["fig10: result_digest d0 -> d1"]
+    assert notes == ["new: new cell, not in baseline"]
+    current["cells"]["fig10"]["result_digest"] = "d0"
+    failures, notes = compare_reports(baseline, current)
     assert failures == []
-    assert any("digest changed" in n for n in notes)
-    assert any("new cell" in n for n in notes)
-    failures, notes = compare_reports(current, baseline, 0.2)
-    assert any("missing from current" in n for n in notes)
-
-
-def test_compare_reports_validates_tolerance():
-    with pytest.raises(ValueError):
-        compare_reports(_fake_report(), _fake_report(), 1.0)
-    with pytest.raises(ValueError):
-        compare_reports(_fake_report(), _fake_report(), -0.1)
-
-
-def test_format_compare_table_shows_deltas_and_blame_shift():
-    baseline = _fake_report(events_per_s=1000.0)
-    baseline["cells"]["fig10"]["blame_pct"] = {"compute": 80.0, "shuffle_wait": 20.0}
-    baseline["totals"] = {"events_per_s": 1000.0}
-    current = _fake_report(events_per_s=500.0)
-    current["cells"]["fig10"]["events"] = 110
-    current["cells"]["fig10"]["blame_pct"] = {"compute": 60.0, "shuffle_wait": 40.0}
-    current["cells"]["dropped_cell"] = None  # exercise asymmetric sets
-    del current["cells"]["dropped_cell"]
-    current["totals"] = {"events_per_s": 500.0}
-    table = format_compare_table(baseline, current)
-    assert "fig10" in table
-    assert "-50.0%" in table  # per-cell events/s delta
-    assert "shuffle_wait +20.0pp" in table or "compute -20.0pp" in table
-    assert "1,000 -> 500" in table  # totals line
-
-
-def test_archive_report_appends_history(tmp_path):
-    report = _fake_report()
-    report["totals"] = {"events_per_s": 1000.0}
-    directory = str(tmp_path / "traj")
-    first = archive_report(report, directory)
-    second = archive_report(
-        dict(report, totals={"events_per_s": 2000.0}), directory
-    )
-    assert first != second
-    with open(first) as fh:
-        assert json.load(fh)["cells"]["fig10"]["events"] == 100
-    with open(f"{directory}/index.jsonl") as fh:
-        lines = [json.loads(line) for line in fh]
-    assert [e["total_events_per_s"] for e in lines] == [1000.0, 2000.0]
-    assert all(e["events_per_s"]["fig10"] == 1000.0 for e in lines)
+    assert notes == ["new: new cell, not in baseline"]
+    failures, notes = compare_reports(current, baseline)
+    assert failures == []
+    assert notes == ["new: in baseline but missing from current run"]
 
 
 # ----------------------------------------------------------------------
-# CLI: repro bench --compare exits non-zero on a synthetic regression
+# CLI: repro bench --compare gates on exact determinism
 # ----------------------------------------------------------------------
 def test_cli_bench_compare_gate(tmp_path, capsys):
     from repro.cli import main
 
     out = tmp_path / "BENCH.json"
-    traj = tmp_path / "traj"
     rc = main(["bench", "fig10", "--scale", "tiny", "--seed", "1",
-               "--out", str(out), "--trajectory-dir", str(traj)])
+               "--out", str(out)])
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["cells"]["fig10"]["events_per_s"] > 0
-    # each run lands in the trajectory archive (file + index line)
-    archived = list(traj.glob("bench-*.json"))
-    assert len(archived) == 1
-    index_lines = (traj / "index.jsonl").read_text().splitlines()
-    assert len(index_lines) == 1
-    assert json.loads(index_lines[0])["events_per_s"]["fig10"] > 0
 
-    # self-compare passes the gate (generous tolerance: this pins the
-    # gate mechanics, not this machine's timing stability)
+    # a second run reproduces the first exactly
     rc = main(["bench", "fig10", "--scale", "tiny", "--seed", "1",
-               "--out", "", "--trajectory-dir", "none",
-               "--compare", str(out), "--tolerance", "0.9"])
+               "--out", "", "--compare", str(out)])
     assert rc == 0
-    captured = capsys.readouterr().out
-    assert "bench OK" in captured
-    assert "bench vs baseline" in captured  # the per-cell delta table
-    assert list(traj.glob("bench-*.json")) == archived  # 'none' skips
+    assert "bench OK" in capsys.readouterr().out
 
-    # inject a synthetic regression: baseline claims 100x the speed
-    doctored = copy.deepcopy(report)
-    doctored["cells"]["fig10"]["events_per_s"] *= 100.0
+    # one flipped event_counts entry fails, naming the cell and key
+    doctored = json.loads(out.read_text())
+    counts = doctored["cells"]["fig10"]["event_counts"]
+    module = sorted(counts)[0]
+    counts[module] += 1
     baseline = tmp_path / "BASELINE.json"
     baseline.write_text(json.dumps(doctored))
     rc = main(["bench", "fig10", "--scale", "tiny", "--seed", "1",
-               "--out", "", "--trajectory-dir", "none",
-               "--compare", str(baseline)])
+               "--out", "", "--compare", str(baseline)])
     assert rc == 1
-    assert "FAIL" in capsys.readouterr().err
+    assert f"FAIL: fig10: event_counts[{module}]" in capsys.readouterr().err
 
 
-def test_cli_bench_rejects_bad_tolerance(monkeypatch, capsys):
-    import repro.obs.bench
+def test_cli_bench_compare_keeps_the_baseline(tmp_path, monkeypatch, capsys):
+    """With no --out, comparing against a baseline never overwrites it."""
     from repro.cli import main
 
-    def no_cells(*_args, **_kwargs):
-        raise AssertionError("a bad --tolerance must stop before any cell")
+    root = Path(__file__).resolve().parents[1]
+    doctored = json.loads((root / "BENCH_headline.json").read_text())
+    digest = doctored["cells"]["fig10"]["result_digest"]
+    doctored["cells"]["fig10"]["result_digest"] = digest[::-1]
+    baseline = tmp_path / "BENCH_headline.json"
+    baseline.write_text(json.dumps(doctored, indent=2))
+    before = baseline.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    rc = main(["bench", "fig10", "--scale", "tiny", "--seed", "1",
+               "--compare", baseline.name])
+    assert rc == 1
+    assert "FAIL: fig10: result_digest" in capsys.readouterr().err
+    assert baseline.read_bytes() == before
+    assert (tmp_path / "BENCH_current.json").is_file()
 
-    monkeypatch.setattr(repro.obs.bench, "run_bench", no_cells)
-    for bad in ("1.5", "-0.1", "1", "fast"):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "fig10", "--out", "", "--trajectory-dir", "none",
-                  "--compare", "BENCH_headline.json", "--tolerance", bad])
-        assert exc.value.code == 2
-        assert "--tolerance" in capsys.readouterr().err
+
+# ----------------------------------------------------------------------
+# the paired perfbench timing gate (tools/paired_perfbench.py)
+# ----------------------------------------------------------------------
+def _paired_perfbench():
+    path = Path(__file__).resolve().parents[1] / "tools" / "paired_perfbench.py"
+    spec = importlib.util.spec_from_file_location("paired_perfbench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_paired_verdict_passes_a_against_a():
+    verdict = _paired_perfbench().verdict
+    base = [1.00, 1.02, 0.97, 1.05, 0.99, 1.01, 1.03, 0.98, 1.00, 1.04]
+    head = [1.01, 0.99, 1.00, 1.02, 1.03, 0.98, 1.05, 0.97, 1.02, 1.00]
+    result = verdict(base, head)
+    assert result["regressed"] is False
+    assert result["pairs"] == 10
+
+
+def test_paired_verdict_fails_a_uniform_slowdown():
+    verdict = _paired_perfbench().verdict
+    base = [1.00, 1.02, 0.97, 1.05, 0.99, 1.01, 1.03, 0.98, 1.00, 1.04]
+    result = verdict(base, [1.2 * b for b in base])
+    assert result["regressed"] is True
+    assert result["slower"] == 10
+    assert result["median_ratio"] == pytest.approx(1.2)
+
+
+def test_paired_verdict_ignores_one_slow_outlier_pair():
+    verdict = _paired_perfbench().verdict
+    base = [1.0] * 10
+    head = [0.99] * 9 + [3.0]
+    assert verdict(base, head)["regressed"] is False
+    # nine slower pairs but a median ratio under the bar still pass
+    assert verdict(base, [1.05] * 9 + [0.9])["regressed"] is False
+
+
+def test_paired_verdict_needs_paired_samples():
+    verdict = _paired_perfbench().verdict
+    with pytest.raises(ValueError):
+        verdict([1.0, 1.0], [1.0])
+    with pytest.raises(ValueError):
+        verdict([], [])

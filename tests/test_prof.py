@@ -277,8 +277,7 @@ def test_cli_bench_writes_flamegraphs(tmp_path, capsys):
     flame = tmp_path / "prof.flame"
     scope = tmp_path / "prof.speedscope.json"
     rc = main(["bench", "fabric", "fig10", "--scale", "tiny", "--seed", "1",
-               "--repeats", "1", "--out", str(out),
-               "--trajectory-dir", "none",
+               "--out", str(out),
                "--flame", str(flame), "--speedscope", str(scope)])
     assert rc == 0
     assert "top_self" in capsys.readouterr().out
