@@ -217,7 +217,7 @@ def test_maxmin_fast_is_bit_identical_to_reference(n_hosts, pairs, caps, scales)
 @settings(max_examples=40, deadline=None)
 def test_incremental_rebalance_matches_pure_reference(seed):
     """Drive a fabric through a random start/cancel/advance/degrade/
-    partition/heal sequence; after every step the incremental component
+    re-group/partition/heal sequence; after every step the incremental component
     fill must give every flow the exact rate the from-scratch reference
     assigns (stalled cross-partition flows pinned at zero, loopback
     flows sharing their host channel equally)."""
@@ -270,8 +270,13 @@ def test_incremental_rebalance_matches_pure_reference(seed):
                 fabric.cancel_flow(flow)
         elif op < 0.8:
             sim.run(until=sim.now + rng.uniform(0.01, 2.0))
-        elif op < 0.9:
+        elif op < 0.85:
             fabric.set_nic_scale(rng.choice(hosts), rng.choice([0.25, 0.5, 1.0]))
+        elif op < 0.9:
+            # re-home a host into another host's group (VM migration),
+            # possibly while a partition is active
+            host, other = rng.choice(hosts), rng.choice(hosts)
+            fabric.set_group(host, fabric._links[other].group)
         elif fabric.partitioned:
             fabric.heal_partition()
         elif len(hosts) >= 2:

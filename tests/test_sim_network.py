@@ -232,3 +232,31 @@ def test_flow_index_tolerates_unknown_host(sim):
     fabric = make_fabric(sim)
     assert fabric.flows_from("ghost") == []
     assert fabric.flows_to("ghost") == []
+
+
+def test_flow_started_inside_an_opening_advance_shares_one_fill(sim, monkeypatch):
+    """A completion callback fired by an unbatched start_flow's opening
+    advance starts a flow inside that mutator's batch: one fill covers
+    both the callback's flow and the outer one."""
+    import repro.sim.network as network
+
+    calls = []
+    real_fill = network.maxmin_fill
+
+    def counting_fill(flows, links):
+        calls.append(len(flows))
+        return real_fill(flows, links)
+
+    monkeypatch.setattr(network, "maxmin_fill", counting_fill)
+    fabric = make_fabric(sim, hosts=("a", "b", "c", "d"), cap=128.0)
+
+    def refill() -> None:
+        fabric.start_flow("a", "b", 64.0)
+
+    # scheduled first, so it runs before the fabric's own completion
+    # tick at t=0.5; 64 MB at 128 MB/s makes a->b due exactly then
+    sim.schedule(0.5, lambda: fabric.start_flow("c", "d", 64.0))
+    fabric.start_flow("a", "b", 64.0, on_complete=refill)
+    calls.clear()
+    sim.run(until=0.5)
+    assert calls == [2]  # a->b refill and c->d in one fill, not two
