@@ -239,19 +239,22 @@ class HDFS:
 
         Used after a DataNode loss (e.g. a migration downtime window in
         the paper's discussion): Hadoop's replication monitor copies
-        under-replicated blocks to new targets.  Returns the number of
-        replicas being regenerated.
+        under-replicated blocks to new targets.  Copies still in flight
+        from an earlier call count toward a block's replicas and their
+        targets are skipped, so calling again before they land schedules
+        nothing twice.  Returns the number of replicas being regenerated.
         """
-        missing = self.namenode.under_replicated(self.replication)
+        namenode = self.namenode
         work = []
-        for block in missing:
-            holders = self.namenode.replica_holders(block)
+        for block in namenode.under_replicated(self.replication):
+            holders = namenode.replica_holders(block)
             if not holders:
                 continue  # data loss; nothing to copy from
-            needed = self.replication - len(holders)
+            needed = self.replication - len(holders) - namenode.copies_in_flight(block)
             for _ in range(needed):
                 source = holders[0]
-                target = self.namenode.choose_targets(block, 1)[0]
+                target = namenode.choose_targets(block, 1)[0]
+                namenode.start_copy(block, source.name, target.name)
                 work.append((block, source, target))
         arms = join(len(work), on_complete) if work else []
         if not work:
@@ -269,14 +272,17 @@ class HDFS:
     ) -> None:
         def after_read() -> None:
             def after_flow() -> None:
+                if not self.namenode.land_copy(block, source.name, target.name):
+                    # released mid-flight: its source or target was
+                    # decommissioned (a later call re-schedules it) or
+                    # its file was deleted
+                    on_complete()
+                    return
+
                 def record() -> None:
-                    # same decommission race as the write pipeline: only
-                    # record the replica if the target is still alive
-                    if (
-                        self.namenode.datanodes.get(target.name) is target
-                        and block.block_id in self.namenode.replicas
-                        and target.name not in self.namenode.replicas[block.block_id]
-                    ):
+                    # released while writing: the target was
+                    # decommissioned or the file deleted
+                    if self.namenode.finish_copy(block, target.name):
                         self.namenode.record_replica(block, target.name)
                     on_complete()
 

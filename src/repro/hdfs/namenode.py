@@ -22,6 +22,10 @@ class NameNode:
         self.datanodes: Dict[str, DataNode] = {}
         self.files: Dict[str, List[Block]] = {}
         self.replicas: Dict[int, List[str]] = {}
+        #: block id -> {target DataNode name: source name} of the
+        #: re-replication copies in flight (Hadoop's pending
+        #: replications).  The source is cleared once the bytes land.
+        self.copies: Dict[int, Dict[str, Optional[str]]] = {}
         self._block_ids = itertools.count()
         self.rng = rng or random.Random(0)
 
@@ -34,8 +38,16 @@ class NameNode:
         self.datanodes[datanode.name] = datanode
 
     def decommission_datanode(self, name: str) -> List[Block]:
-        """Remove a DataNode; returns blocks now under-replicated."""
+        """Remove a DataNode; returns blocks now under-replicated.
+
+        Copies in flight to it, or still streaming from it, are
+        released so a later re-replication can schedule them again.
+        """
         datanode = self.datanodes.pop(name)
+        for copies in self.copies.values():
+            for target, source in list(copies.items()):
+                if name in (target, source):
+                    del copies[target]
         lost: List[Block] = []
         for block_id, holders in self.replicas.items():
             if name in holders:
@@ -74,6 +86,7 @@ class NameNode:
 
     def delete_file(self, name: str) -> None:
         for block in self.files.pop(name):
+            self.copies.pop(block.block_id, None)
             for holder in self.replicas.pop(block.block_id, []):
                 datanode = self.datanodes.get(holder)
                 if datanode is not None and datanode.holds(block):
@@ -97,6 +110,35 @@ class NameNode:
                 f"block {block.block_id} already replicated on {datanode_name}"
             )
         holders.append(datanode_name)
+
+    def start_copy(self, block: Block, source: str, target: str) -> None:
+        """Register a re-replication copy of ``block`` in flight."""
+        self.copies.setdefault(block.block_id, {})[target] = source
+
+    def land_copy(self, block: Block, source: str, target: str) -> bool:
+        """The copy's bytes reached ``target``; False if it was released.
+
+        A landed copy no longer depends on its source, so only the
+        target's decommission can release it from here on.
+        """
+        copies = self.copies.get(block.block_id)
+        if copies is None or copies.get(target) != source:
+            return False
+        copies[target] = None
+        return True
+
+    def finish_copy(self, block: Block, target: str) -> bool:
+        """Release a copy as it records; False if it was released."""
+        copies = self.copies.get(block.block_id)
+        if copies is None or target not in copies:
+            return False
+        del copies[target]
+        if not copies:
+            del self.copies[block.block_id]
+        return True
+
+    def copies_in_flight(self, block: Block) -> int:
+        return len(self.copies.get(block.block_id, ()))
 
     def replica_holders(self, block: Block) -> List[DataNode]:
         return [
@@ -124,7 +166,9 @@ class NameNode:
         """
         if replication <= 0:
             raise ValueError("replication must be positive")
+        # holders and targets of copies in flight both already count
         existing = set(self.replicas.get(block.block_id, []))
+        existing.update(self.copies.get(block.block_id, ()))
         candidates = [d for d in self.datanodes.values() if d.name not in existing]
         if len(candidates) < replication:
             raise RuntimeError(
