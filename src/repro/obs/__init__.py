@@ -31,12 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from repro.obs.capture import (
-    MetricsCapture,
-    SimCapture,
-    active_capture,
-    active_sim_capture,
-)
+from repro.obs.capture import SimCapture, active_sim_capture
 from repro.obs.live import JsonlFrameSink, LiveSampler, MemorySink
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.prof import Profiler
@@ -81,9 +76,7 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "MetricsRegistry",
-    "MetricsCapture",
     "SimCapture",
-    "active_capture",
     "active_sim_capture",
     "Counter",
     "Gauge",

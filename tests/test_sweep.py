@@ -13,7 +13,7 @@ from repro.cluster.cluster import Cluster
 from repro.experiments.common import TINY, resolve_scale
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.metrics.collector import UtilizationCollector
-from repro.obs import MetricsCapture, MetricsRegistry
+from repro.obs import MetricsRegistry, SimCapture
 from repro.sim.engine import Simulator
 from repro.sweep import (
     ResultCache,
@@ -231,11 +231,11 @@ def test_aggregate_groups_across_seeds():
 # obs capture scoping (satellite: no cross-cell contamination)
 # ----------------------------------------------------------------------
 def test_metrics_capture_scopes_registries():
-    with MetricsCapture() as outer:
-        MetricsRegistry().counter("a").inc(5)
-        with MetricsCapture() as inner:
-            MetricsRegistry().counter("a").inc(7)
-        MetricsRegistry().counter("b").inc(1)
+    with SimCapture() as outer:
+        Simulator(seed=1).obs.metrics.counter("a").inc(5)
+        with SimCapture() as inner:
+            Simulator(seed=2).obs.metrics.counter("a").inc(7)
+        Simulator(seed=3).obs.metrics.counter("b").inc(1)
     snap_outer = outer.combined_snapshot()
     snap_inner = inner.combined_snapshot()
     assert snap_inner["counters"] == {"a": 7}
